@@ -30,15 +30,12 @@ from .complexfn import (
     principal_sqrt,
 )
 from .eigenfunctions import (
-    OdeCoefficients,
-    RadialEigenfunction,
     approximation_gap,
     eigenfunction_r,
     eigenfunction_x,
     full_wavefunction_even,
     normalization,
     ode_residual,
-    reduced_ode_coefficients,
 )
 from .errors import (
     DegenerateError,
@@ -64,7 +61,6 @@ from .gridops import (
     z3_apply,
 )
 from .model import (
-    AlgebraData,
     CurvatureCase,
     Parity,
     PhysParams,

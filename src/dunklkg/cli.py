@@ -11,7 +11,9 @@ corresponding flags.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -37,10 +39,13 @@ def _parse_n_list(spec: str) -> List[int]:
             lo_i, hi_i = int(lo), int(hi)
             if hi_i < lo_i:
                 raise ValueError("empty range")
-            return list(range(lo_i, hi_i + 1))
-        values = [int(tok) for tok in spec.split(",") if tok.strip()]
+            values = list(range(lo_i, hi_i + 1))
+        else:
+            values = [int(tok) for tok in spec.split(",") if tok.strip()]
         if not values:
             raise ValueError("no entries")
+        if min(values) < 0:
+            raise ValueError("n must be non-negative")
         return values
     except ValueError as exc:
         raise click.UsageError(f"bad n specification {spec!r}: {exc}") from exc
@@ -104,9 +109,25 @@ def _emit(text: str, output: Optional[str]) -> None:
             fh.write(text)
 
 
-def _fail(exc: Exception) -> "click.exceptions.Exit":
-    click.echo(f"error: {exc}", err=True)
-    return click.exceptions.Exit(1)
+def _exit_codes(command):
+    """The CLI's one error boundary: bad input exits 2, a failed computation exits 1.
+
+    NormalizationError, ValueError and OverflowError are failed computations
+    and print ``error: ...``; every other DunklKGError is bad input and
+    becomes a usage error.
+    """
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (NormalizationError, ValueError, OverflowError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise click.exceptions.Exit(1) from exc
+        except DunklKGError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+    return guarded
 
 
 @click.group()
@@ -127,6 +148,7 @@ def cli():
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("-o", "--output", default=None, help="write to file instead of stdout")
+@_exit_codes
 def cmd_spectrum(case_name, alpha_text, n_spec, curvature, mass, fmt, config_path, output):
     """Emit the complex energy table for the chosen case."""
     cfg = _load_config(config_path)
@@ -139,20 +161,13 @@ def cmd_spectrum(case_name, alpha_text, n_spec, curvature, mass, fmt, config_pat
         m=str(mass),
         format=fmt or _default_format(),
     )
-    try:
-        case = CurvatureCase.from_name(vals["case"])
-        alphas = [parse_alpha(tok) for tok in vals["alpha"].split(",") if tok.strip()]
-        n_list = _parse_n_list(vals["n"])
-        R, m = _numeric(vals, "R"), _numeric(vals, "m")
-        if R < 0 or m <= 0:
-            raise click.UsageError(f"need R >= 0 and m > 0, got R={R}, m={m}")
-        table = spectrum_table(case, alphas, max(n_list), R, m)
-    except click.UsageError:
-        raise
-    except DunklKGError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except (ValueError, OverflowError) as exc:
-        raise _fail(exc) from exc
+    case = CurvatureCase.from_name(vals["case"])
+    alphas = [parse_alpha(tok) for tok in vals["alpha"].split(",") if tok.strip()]
+    n_list = _parse_n_list(vals["n"])
+    R, m = _numeric(vals, "R"), _numeric(vals, "m")
+    if not (0.0 <= R < math.inf and 0.0 < m < math.inf):
+        raise click.UsageError(f"need finite R >= 0 and m > 0, got R={R}, m={m}")
+    table = spectrum_table(case, alphas, max(n_list), R, m)
     wanted = set(n_list)
     table = type(table)(
         case=table.case, R=table.R, m=table.m,
@@ -168,16 +183,14 @@ def cmd_spectrum(case_name, alpha_text, n_spec, curvature, mass, fmt, config_pat
 @click.option("--tol", default=1e-2, show_default=True, type=float)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 @click.option("-o", "--output", default=None)
+@_exit_codes
 def cmd_table(table_id, tol, fmt, output):
     """Regenerate a published reference table and diff it entrywise.
 
     Exits 0 iff every component deviation is within --tol.
     """
     fmt = fmt or _default_format()
-    try:
-        cmp = compare_reference(table_id, tol)
-    except DunklKGError as exc:
-        raise _fail(exc) from exc
+    cmp = compare_reference(table_id, tol)
     if fmt == "json":
         payload = {
             "table": cmp.table,
@@ -236,6 +249,7 @@ def _profile_command(evolved: bool):
     @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
     @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
     @click.option("-o", "--output", default=None)
+    @_exit_codes
     def command(case_name, alpha_text, xi_text, n_spec, tau_spec, branch, convention,
                 curvature, mass, x_min, x_max, points, fmt, config_path, output):
         cfg = _load_config(config_path)
@@ -255,41 +269,25 @@ def _profile_command(evolved: bool):
             points=str(points),
             format=fmt or _default_format(),
         )
-        try:
-            case = CurvatureCase.from_name(vals["case"])
-            alpha = parse_alpha(vals["alpha"])
-            xi = parse_complex(vals["xi"])
-            if abs(xi) >= 1.0:
-                raise click.UsageError(f"|xi| must be < 1, got |xi| = {abs(xi)}")
-            n_list = _parse_n_list(vals["n"])
-            tau_list = _parse_tau_list(vals["tau"])
-            branch_val = vals["branch"] or None
-            if case is not CurvatureCase.GAUSSIAN and branch_val is None:
-                raise click.UsageError(
-                    f"case {case.value} requires --branch plus|minus"
-                )
-            R, m = _numeric(vals, "R"), _numeric(vals, "m")
-            # profile evaluation needs the full validated physical triple
-            PhysParams(alpha=alpha, R=R, m=m)
-            profiles = [
-                build_profile(
-                    case, alpha, n, xi,
-                    R=R, m=m, branch=branch_val,
-                    tau=tau, phase_convention=PhaseConvention.from_name(vals["phase_convention"]),
-                    x_min=_numeric(vals, "x_min"), x_max=_numeric(vals, "x_max"),
-                    points=_numeric(vals, "points", int), evolved=evolved,
-                )
-                for n in n_list
-                for tau in tau_list
-            ]
-        except click.UsageError:
-            raise
-        except NormalizationError as exc:
-            raise _fail(exc) from exc
-        except DunklKGError as exc:
-            raise click.UsageError(str(exc)) from exc
-        except (ValueError, OverflowError) as exc:
-            raise _fail(exc) from exc
+        case = CurvatureCase.from_name(vals["case"])
+        alpha = parse_alpha(vals["alpha"])
+        xi = parse_complex(vals["xi"])
+        n_list = _parse_n_list(vals["n"])
+        tau_list = _parse_tau_list(vals["tau"])
+        R, m = _numeric(vals, "R"), _numeric(vals, "m")
+        # profile evaluation needs the full validated physical triple
+        PhysParams(alpha=alpha, R=R, m=m)
+        profiles = [
+            build_profile(
+                case, alpha, n, xi,
+                R=R, m=m, branch=vals["branch"] or None,
+                tau=tau, phase_convention=PhaseConvention.from_name(vals["phase_convention"]),
+                x_min=_numeric(vals, "x_min"), x_max=_numeric(vals, "x_max"),
+                points=_numeric(vals, "points", int), evolved=evolved,
+            )
+            for n in n_list
+            for tau in tau_list
+        ]
         for profile in profiles:
             if profile.meta.get("warning"):
                 click.echo(f"warning: {profile.meta['warning']}", err=True)
@@ -312,16 +310,14 @@ cmd_evolve.help = "Emit time-evolved normalized density profiles."
 @click.option("--suite", default=None, help="substring filter on check names")
 @click.option("--grid-h", default=1e-3, show_default=True, type=float)
 @click.option("-o", "--output", default=None)
+@_exit_codes
 def cmd_verify(suite, grid_h, output):
     """Run the verification suite; exit 0 iff every assertable check passes.
 
     Measured-only diagnostics (commutators, ladder collinearity, peak
     trends) are included in the JSON report but never affect the exit code.
     """
-    try:
-        report = run_verification(grid_h=grid_h, suite=suite)
-    except DunklKGError as exc:
-        raise click.UsageError(str(exc)) from exc
+    report = run_verification(grid_h=grid_h, suite=suite)
     _emit(report_to_json(report), output)
     if not report["passed"]:
         raise click.exceptions.Exit(1)

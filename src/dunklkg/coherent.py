@@ -36,11 +36,11 @@ from typing import Optional
 
 import numpy as np
 
-from .complexfn import log_gamma, principal_log
+from .complexfn import laguerre_sequence, log_gamma, principal_log
 from .errors import DomainError, NormalizationError
-from .eigenfunctions import eigenfunction_x
+from .eigenfunctions import normalization, radial_envelope
 from .gridops import POSITIVE, GridFunction
-from .model import AlphaLike, CurvatureCase, bargmann_index, scale_factor
+from .model import AlphaLike, CurvatureCase, bargmann_index, scale_factor, sigma_index
 from .spectrum import energy_pair
 
 __all__ = [
@@ -90,8 +90,10 @@ class CoherentParams:
     phase_convention: PhaseConvention = PhaseConvention.CORRECTED
 
     def __post_init__(self):
-        if abs(self.xi) >= 1.0:
+        if not abs(self.xi) < 1.0:  # also rejects a NaN xi
             raise DomainError(f"|xi| must be < 1 (Perelomov disk), got |xi| = {abs(self.xi)}")
+        if not math.isfinite(self.tau):
+            raise DomainError(f"tau must be finite, got {self.tau}")
         if self.lambda_scale == 0:
             raise DomainError("lambda_scale must be nonzero")
 
@@ -193,27 +195,33 @@ def suggested_series_terms(params: CoherentParams, x_max: float) -> int:
 def coherent_series(x, params: CoherentParams, n_terms: Optional[int] = None):
     """Truncated Perelomov displacement series over the eigenfunctions.
 
-    Coefficients sqrt(Gamma(n+2k)/(n! Gamma(2k))) xi^n are computed in log
-    space (analytic log-gamma) so their branch stays continuous in n.  With
+    Every term N_n F_n(Lambda x^2) shares the factor r^(sigma+1/2) e^(-ir/2)
+    at r = Lambda x^2, so one Laguerre pass gives all L_n(i r) up to the
+    last term, and the sum is the weight vector w_n = c_n xi^n N_n
+    contracted with them, times that shared factor.  The coefficients
+    c_n = sqrt(Gamma(n+2k)/(n! Gamma(2k))) are computed in log space
+    (analytic log-gamma) so their branch stays continuous in n.  With
     ``n_terms`` None the tail bound picks the count for the given grid.
     """
-    if abs(params.xi) >= 1.0:
-        raise DomainError("|xi| must be < 1")
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if n_terms is None:
         n_terms = suggested_series_terms(params, float(np.max(x_arr)))
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    k = bargmann_index(params.alpha)
+    alpha, lam = params.alpha, params.lambda_scale
+    k = bargmann_index(alpha)
     two_k = 2.0 * k
     lg_2k = log_gamma(two_k)
-    total = np.zeros_like(x_arr, dtype=complex)
+    weights = np.empty(n_terms, dtype=complex)
     xi_pow = 1.0 + 0.0j
     for n in range(n_terms):
         coeff = cmath.exp(0.5 * (log_gamma(n + two_k) - math.lgamma(n + 1) - lg_2k)) * xi_pow
-        total = total + coeff * eigenfunction_x(n, params.alpha, params.lambda_scale, x_arr)
+        weights[n] = coeff * normalization(n, alpha, lam)
         xi_pow *= params.xi
+    r = lam * x_arr**2
+    lag = laguerre_sequence(n_terms - 1, 2.0 * sigma_index(alpha), 1j * r)
+    total = (weights @ lag) * radial_envelope(alpha, r)
     total *= cmath.exp(k * math.log1p(-abs(params.xi) ** 2))
     if scalar:
         return complex(total[0])
@@ -238,8 +246,10 @@ def coherent_evolved(x, params: CoherentParams):
 
 def _normalized_density(x_arr: np.ndarray, params: CoherentParams, evolved: bool):
     """Amplitudes, normalized density, and the raw trapezoidal integral."""
-    if x_arr.size < 2 or x_arr[0] <= 0:
-        raise DomainError("density grid must live on 0 < x_min <= x <= x_max")
+    if x_arr.size < 2 or not (0.0 < x_arr[0] < x_arr[-1] < math.inf):
+        raise DomainError(
+            f"density grid must be finite with 0 < x_min < x_max, got [{x_arr[0]}, {x_arr[-1]}]"
+        )
     values = coherent_evolved(x_arr, params) if evolved else coherent_closed_form(x_arr, params)
     dens = np.abs(values) ** 2
     integral = float(np.trapezoid(dens, x_arr))

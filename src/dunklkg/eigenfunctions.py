@@ -4,11 +4,14 @@ In the reduced variable r the (unnormalized) eigenfunction is
 
     F_n(r) = r^(sigma + 1/2) exp(-i r / 2) L_n^(2 sigma)(i r),
 
-and in the physical coordinate, with scale Lambda and r = Lambda x^2,
+and the normalized physical-coordinate form is that same function at
+r = Lambda x^2 times a prefactor,
 
-    F_n(x) = N_n (sqrt(Lambda) x)^(2 sigma + 1) exp(-i Lambda x^2 / 2)
-             L_n^(2 sigma)(i Lambda x^2),
+    F_n(x) = N_n F_n(Lambda x^2),
     N_n    = sqrt(2 Lambda^(sigma+1) n! / Gamma(n + 2 sigma + 1)).
+
+For x > 0 the principal power (Lambda x^2)^(sigma + 1/2) equals
+(sqrt(Lambda) x)^(2 sigma + 1), so F_n is written once, in r.
 
 For the rational and sinc profiles only the r-form equation is derived
 directly; the x-form there adopts r = (scale) x^2 by analogy with the
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,56 +39,16 @@ from .gridops import positive_grid, second_derivative_4th
 from .model import AlphaLike, bargmann_index, radial_coupling, sigma_index
 
 __all__ = [
-    "OdeCoefficients",
-    "RadialEigenfunction",
     "approximation_gap",
     "eigenfunction_r",
     "eigenfunction_x",
     "full_wavefunction_even",
     "normalization",
     "ode_residual",
-    "reduced_ode_coefficients",
+    "radial_envelope",
 ]
 
 _LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class OdeCoefficients:
-    """Coefficients of the reduced equation F'' + (a/r + b/r^2 + c) F = 0."""
-
-    a_r: complex
-    b_r: complex
-    c_r: complex
-
-
-@dataclass(frozen=True)
-class RadialEigenfunction:
-    """One bound eigenfunction: quantum number, scale, and its prefactor.
-
-    Evaluation at x = 0 is 0: the power factor carries Re(2 sigma + 1) = 1.
-    """
-
-    n: int
-    alpha: AlphaLike
-    lambda_scale: complex
-    normalization: complex
-
-    @classmethod
-    def build(cls, n: int, alpha, lambda_scale: complex) -> "RadialEigenfunction":
-        return cls(
-            n=n,
-            alpha=alpha,
-            lambda_scale=complex(lambda_scale),
-            normalization=normalization(n, alpha, lambda_scale),
-        )
-
-    def value_x(self, x):
-        return eigenfunction_x(self.n, self.alpha, self.lambda_scale, x)
-
-    def value_r(self, r):
-        """Unnormalized reduced-coordinate form."""
-        return eigenfunction_r(self.n, self.alpha, r)
 
 
 def normalization(n: int, alpha: AlphaLike, lambda_scale: complex) -> complex:
@@ -106,60 +68,43 @@ def normalization(n: int, alpha: AlphaLike, lambda_scale: complex) -> complex:
     return cmath.exp(0.5 * log_norm_sq)
 
 
+def radial_envelope(alpha: AlphaLike, r: np.ndarray) -> np.ndarray:
+    """The factor r^(sigma+1/2) e^(-ir/2) of F_n shared by every n; 0 at r = 0.
+
+    ``r`` is a complex ndarray.  The power is principal; Re(sigma + 1/2) =
+    1/2 > 0, so the value at r = 0 is its limit 0.
+    """
+    sig = sigma_index(alpha)
+    out = np.zeros_like(r)
+    nz = r != 0
+    out[nz] = np.exp((sig + 0.5) * np.log(r[nz])) * np.exp(-0.5j * r[nz])
+    return out
+
+
 def eigenfunction_r(n: int, alpha: AlphaLike, r):
     """Unnormalized F_n(r) = r^(sigma+1/2) e^(-ir/2) L_n^(2 sigma)(i r).
 
     ``r`` may be a scalar or ndarray, real non-negative or complex (the
-    x-form consistency check feeds complex r = Lambda x^2).  F(0) = 0.
+    x-form feeds complex r = Lambda x^2).  F(0) = 0.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
-    sig = sigma_index(alpha)
     scalar = np.ndim(r) == 0
     r_arr = np.atleast_1d(np.asarray(r, dtype=complex))
-    lag = laguerre_sequence(n, 2.0 * sig, 1j * r_arr)[n]
-    out = np.zeros_like(r_arr)
-    nz = r_arr != 0
-    # principal power r^(sigma + 1/2); Re(sigma + 1/2) = 1/2 > 0 so F(0) = 0
-    out[nz] = np.exp((sig + 0.5) * np.log(r_arr[nz])) * np.exp(-0.5j * r_arr[nz]) * lag[nz]
+    lag = laguerre_sequence(n, 2.0 * sigma_index(alpha), 1j * r_arr)[n]
+    out = radial_envelope(alpha, r_arr) * lag
     if scalar:
         return complex(out[0])
     return out
 
 
 def eigenfunction_x(n: int, alpha: AlphaLike, lambda_scale: complex, x):
-    """Normalized F_n(x) in the physical coordinate; x >= 0 (scalar or ndarray)."""
+    """Normalized N_n F_n(Lambda x^2) in the physical coordinate; x >= 0 (scalar or ndarray)."""
     lam = complex(lambda_scale)
-    if lam == 0:
-        raise DegenerateError("lambda_scale = 0")
-    scalar = np.ndim(x) == 0
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0):
         raise DomainError("eigenfunction_x is defined for x >= 0")
-    sig = sigma_index(alpha)
-    norm = normalization(n, alpha, lam)
-    lag = laguerre_sequence(n, 2.0 * sig, 1j * lam * x_arr**2)[n]
-    out = np.zeros_like(x_arr, dtype=complex)
-    nz = x_arr > 0
-    # (sqrt(Lambda) x)^(2 sigma + 1): for x > 0, Log(sqrt(Lambda) x) splits exactly
-    log_base = 0.5 * principal_log(lam) + np.log(x_arr[nz])
-    out[nz] = norm * np.exp((2.0 * sig + 1.0) * log_base) * np.exp(-0.5j * lam * x_arr[nz] ** 2) * lag[nz]
-    if scalar:
-        return complex(out[0])
-    return out
-
-
-def reduced_ode_coefficients(n: int, alpha: AlphaLike) -> OdeCoefficients:
-    """Coefficients of the reduced equation satisfied by F_n.
-
-    b = alpha/2 + 3/16 and c = 1/4 for all three curvature cases; the
-    eigenvalue enters through a = i (k + n).
-    """
-    return OdeCoefficients(
-        a_r=1j * (bargmann_index(alpha) + n),
-        b_r=complex(radial_coupling(alpha)),
-        c_r=0.25 + 0.0j,
-    )
+    return normalization(n, alpha, lam) * eigenfunction_r(n, alpha, lam * x_arr**2)
 
 
 def ode_residual(

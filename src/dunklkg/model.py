@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -25,7 +25,6 @@ from .complexfn import principal_sqrt
 from .errors import DegenerateError, DomainError, UnsupportedParity
 
 __all__ = [
-    "AlgebraData",
     "CurvatureCase",
     "Parity",
     "PhysParams",
@@ -115,10 +114,10 @@ class PhysParams:
         if self.parity is not Parity.EVEN:
             raise UnsupportedParity("only the even-parity sector is implemented")
         object.__setattr__(self, "alpha", _validate_alpha(self.alpha))
-        if not (self.R > 0.0):
-            raise DomainError(f"curvature constant R must be positive, got {self.R}")
-        if not (self.m > 0.0):
-            raise DomainError(f"mass m must be positive, got {self.m}")
+        if not (0.0 < self.R < math.inf):
+            raise DomainError(f"curvature constant R must be positive and finite, got {self.R}")
+        if not (0.0 < self.m < math.inf):
+            raise DomainError(f"mass m must be positive and finite, got {self.m}")
 
 
 def bargmann_index(alpha: AlphaLike) -> complex:
@@ -143,26 +142,6 @@ def radial_coupling(alpha: AlphaLike) -> float:
 def casimir_eigenvalue(alpha: AlphaLike) -> complex:
     """Quadratic Casimir eigenvalue k(k-1) = -(alpha/2 + 3/16)."""
     return complex(-radial_coupling(alpha))
-
-
-@dataclass(frozen=True)
-class AlgebraData:
-    """Derived su(1,1) constants for a given alpha."""
-
-    k: complex
-    sigma: complex
-    casimir: complex
-    c: float = field(metadata={"doc": "alpha/2 + 3/16"})
-
-    @classmethod
-    def from_alpha(cls, alpha: AlphaLike) -> "AlgebraData":
-        k = bargmann_index(alpha)
-        return cls(
-            k=k,
-            sigma=k - 0.5,
-            casimir=casimir_eigenvalue(alpha),
-            c=radial_coupling(alpha),
-        )
 
 
 def profile_a(case: CurvatureCase, x, R: float):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+from .errors import DomainError
 from .model import CurvatureCase
 from .spectrum import energy_pair
 
@@ -88,6 +89,8 @@ def compare_reference(table_id: str, tolerance: float = 1e-2) -> TableComparison
     """Recompute a published table and diff it entrywise against the transcription."""
     if table_id not in TABLES:
         raise KeyError(f"unknown table {table_id!r}; expected one of {sorted(TABLES)}")
+    if not tolerance >= 0.0:  # also rejects a NaN tolerance
+        raise DomainError(f"tolerance must be >= 0, got {tolerance}")
     case, reference = TABLES[table_id]
     entries: List[dict] = []
     max_dev = 0.0

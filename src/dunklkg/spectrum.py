@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .complexfn import principal_sqrt
-from .errors import DegenerateError, DomainError
+from .errors import DomainError
 from .model import (
     AlphaLike,
     CurvatureCase,
@@ -47,6 +47,7 @@ __all__ = [
     "energy_pair_case2",
     "energy_pair_case3",
     "energy_squared_case1",
+    "relation_rhs",
     "self_consistency_residual",
     "spectrum_table",
     "table_to_csv",
@@ -179,18 +180,26 @@ def self_consistency_residual(
 def _relation_residual(
     case: CurvatureCase, n: int, e_squared: complex, alpha: AlphaLike, R: float, m: float
 ) -> float:
-    u = complex(e_squared) - m * m
-    if abs(u) < 1e-14:
-        raise DegenerateError("E^2 = m^2: relation degenerate")
+    rhs = relation_rhs(case, e_squared, R, m)
     k = bargmann_index(alpha)
+    return float(min(abs(k + n - rhs), abs(k + n + rhs)))
+
+
+def relation_rhs(case: CurvatureCase, e_squared: complex, R: float, m: float) -> complex:
+    """Right-hand side -i num / (4 scale) of the eigenvalue relation k + n = rhs.
+
+    ``num`` is the case numerator and ``scale`` the principal case scale
+    factor (see ``self_consistency_residual``); raises DegenerateError at
+    E^2 = m^2, where the scale factor vanishes.
+    """
+    u = complex(e_squared) - m * m
     if case is CurvatureCase.GAUSSIAN:
         num = u
     elif case is CurvatureCase.RATIONAL:
         num = u + 2.0 * R
     else:
         num = (6.0 * u + R) / 6.0
-    rhs = -1j * num / (4.0 * scale_factor(case, e_squared, R, m))
-    return float(min(abs(k + n - rhs), abs(k + n + rhs)))
+    return -1j * num / (4.0 * scale_factor(case, e_squared, R, m))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ import numpy as np
 from . import complexfn
 from .coherent import (
     CoherentParams,
-    PhaseConvention,
     coherent_closed_form,
     coherent_evolved,
     coherent_series,
@@ -41,6 +40,7 @@ from .eigenfunctions import eigenfunction_r, eigenfunction_x, ode_residual
 from .errors import DomainError
 from .gridops import (
     GridFunction,
+    commutator_apply,
     ladder_apply,
     positive_grid,
     z3_apply,
@@ -50,17 +50,18 @@ from .model import (
     bargmann_index,
     casimir_eigenvalue,
     radial_coupling,
-    scale_factor,
     sigma_index,
 )
 from .refdata import compare_reference
-from .spectrum import energy_pair, self_consistency_residual
+from .spectrum import energy_pair, relation_rhs, self_consistency_residual
 
 __all__ = ["run_verification", "report_to_json", "z3_eigenvalue_residual"]
 
 SWEEP_ALPHAS = (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2))
 SWEEP_N = range(6)
 SERIES_XIS = (0.3 + 0.0j, 0.5 + 0.2j, 0.1 - 0.6j)
+# coherent-state checks run on the gaussian spectrum at R = m = 1
+GAUSSIAN = CurvatureCase.GAUSSIAN
 
 # standard grids
 R_MIN, R_MAX = 0.1, 20.0
@@ -102,15 +103,6 @@ def _diagnostic(name: str, measured, **extra) -> Dict:
     out = {"name": name, "measured": measured, "tolerance": None, "status": "measured"}
     out.update(extra)
     return out
-
-
-def _case1_params(alpha, n: int, xi: complex, tau: float = 0.0, convention=PhaseConvention.CORRECTED) -> CoherentParams:
-    e2 = energy_pair(CurvatureCase.GAUSSIAN, n, alpha, 1.0, 1.0).e2_plus
-    lam = scale_factor(CurvatureCase.GAUSSIAN, e2, 1.0, 1.0)
-    return CoherentParams(
-        xi=xi, alpha=Fraction(alpha), lambda_scale=lam, n_label=n, tau=tau,
-        phase_convention=convention,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +178,7 @@ def check_series_agreement() -> Dict:
     worst = 0.0
     for alpha in SWEEP_ALPHAS:
         for xi in SERIES_XIS:
-            params = _case1_params(alpha, 0, xi)
+            params = CoherentParams.for_case(GAUSSIAN, alpha, 0, xi)
             closed = coherent_closed_form(SERIES_X, params)
             series = coherent_series(SERIES_X, params)
             rel = float(np.max(np.abs(closed - series)) / np.max(np.abs(closed)))
@@ -199,7 +191,7 @@ def check_xi_zero_reduction() -> Dict:
     x = rng.uniform(0.01, 2.0, size=100)
     worst = 0.0
     for alpha in SWEEP_ALPHAS:
-        params = _case1_params(alpha, 0, 0.0 + 0.0j)
+        params = CoherentParams.for_case(GAUSSIAN, alpha, 0, 0.0 + 0.0j)
         closed = coherent_closed_form(x, params)
         eig = eigenfunction_x(0, alpha, params.lambda_scale, x)
         worst = max(worst, float(np.max(np.abs(closed - eig) / np.abs(eig))))
@@ -209,7 +201,7 @@ def check_xi_zero_reduction() -> Dict:
 def check_tau_zero_reduction() -> Dict:
     worst = 0.0
     for alpha in SWEEP_ALPHAS:
-        params = _case1_params(alpha, 1, 0.5 + 0.2j, tau=0.0)
+        params = CoherentParams.for_case(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=0.0)
         closed = coherent_closed_form(SERIES_X, params)
         evolved = coherent_evolved(SERIES_X, params)
         worst = max(worst, float(np.max(np.abs(closed - evolved)) / np.max(np.abs(closed))))
@@ -222,10 +214,12 @@ def check_tau_periodicity() -> Dict:
     for alpha in SWEEP_ALPHAS:
         for tau0 in (0.0, math.pi / 2):
             base = density_profile(
-                x, _case1_params(alpha, 1, 0.5 + 0.2j, tau=tau0), evolved=True
+                x, CoherentParams.for_case(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=tau0), evolved=True
             ).values
             shifted = density_profile(
-                x, _case1_params(alpha, 1, 0.5 + 0.2j, tau=tau0 + 2.0 * math.pi), evolved=True
+                x,
+                CoherentParams.for_case(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=tau0 + 2.0 * math.pi),
+                evolved=True,
             ).values
             worst = max(worst, float(np.max(np.abs(base - shifted)) / np.max(base)))
     return _check("tau_periodicity", worst, 1e-10)
@@ -324,9 +318,6 @@ def diagnostics_commutators(alpha=Fraction(1, 2)) -> List[Dict]:
     )
     sl = slice(8, -8)
 
-    def com(op_a, op_b):
-        return op_a(op_b(mixture)).values - op_b(op_a(mixture)).values
-
     def rel(measured, reference):
         return float(
             np.max(np.abs((measured - reference)[sl])) / np.max(np.abs(measured[sl]))
@@ -335,9 +326,9 @@ def diagnostics_commutators(alpha=Fraction(1, 2)) -> List[Dict]:
     z3f = z3(mixture).values
     dpf = dplus(mixture).values
     dmf = dminus(mixture).values
-    com_zp = com(z3, dplus)
-    com_zm = com(z3, dminus)
-    com_pm = com(dplus, dminus)
+    com_zp = commutator_apply(z3, dplus, mixture).values
+    com_zm = commutator_apply(z3, dminus, mixture).values
+    com_pm = commutator_apply(dplus, dminus, mixture).values
     return [
         _diagnostic(
             "commutator_z3_dplus",
@@ -388,7 +379,8 @@ def diagnostics_peak_trend() -> List[Dict]:
     for alpha in SWEEP_ALPHAS:
         row = []
         for n in SWEEP_N:
-            dens = density_profile(x, _case1_params(alpha, n, 0.5 + 0.2j)).values
+            params = CoherentParams.for_case(GAUSSIAN, alpha, n, 0.5 + 0.2j)
+            dens = density_profile(x, params).values
             row.append(float(x[int(np.argmax(dens))]))
         peaks[str(alpha)] = row
     increases_with_n = {
@@ -418,19 +410,10 @@ def diagnostics_strict_principal() -> List[Dict]:
     worst = 0.0
     for case in CurvatureCase:
         for alpha in SWEEP_ALPHAS:
+            k = bargmann_index(alpha)
             for n in SWEEP_N:
-                pair = energy_pair(case, n, alpha, 1.0, 1.0)
-                for _, e2 in pair.branches:
-                    u = e2 - 1.0
-                    k = bargmann_index(alpha)
-                    if case is CurvatureCase.GAUSSIAN:
-                        num = u
-                    elif case is CurvatureCase.RATIONAL:
-                        num = u + 2.0
-                    else:
-                        num = (6.0 * u + 1.0) / 6.0
-                    rhs = -1j * num / (4.0 * scale_factor(case, e2, 1.0, 1.0))
-                    worst = max(worst, abs(k + n - rhs))
+                for _, e2 in energy_pair(case, n, alpha, 1.0, 1.0).branches:
+                    worst = max(worst, abs(k + n - relation_rhs(case, e2, 1.0, 1.0)))
     return [_diagnostic("self_consistency_strict_principal_max", worst)]
 
 
@@ -444,6 +427,8 @@ def run_verification(grid_h: float = 1e-3, suite: Optional[str] = None) -> Dict:
     The filter matches against check names before execution, so a narrow
     suite runs quickly.
     """
+    if not (0.0 < grid_h < math.inf):
+        raise DomainError(f"grid_h must be positive and finite, got {grid_h}")
     check_builders: List[tuple] = [
         ("casimir_identity", check_casimir_identity),
         ("sigma_identity", check_sigma_identity),

@@ -22,7 +22,6 @@ from click.testing import CliRunner
 from dunklkg import (
     CoherentParams,
     CurvatureCase,
-    PhaseConvention,
     bargmann_index,
     coherent_closed_form,
     coherent_evolved,
@@ -30,12 +29,10 @@ from dunklkg import (
     compare_reference,
     density_profile,
     eigenfunction_x,
-    energy_pair,
     gamma,
     laguerre_sequence,
     ode_residual,
     radial_coupling,
-    scale_factor,
     self_consistency_residual,
     z3_eigenvalue_residual,
 )
@@ -54,15 +51,6 @@ def announce(num, description, passed, detail=""):
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {num:2d} [{status}] {description} {detail}".rstrip())
     assert passed, f"criterion {num}: {description} {detail}"
-
-
-def _gaussian_params(alpha, n, xi, tau=0.0):
-    e2 = energy_pair(CurvatureCase.GAUSSIAN, n, alpha, 1.0, 1.0).e2_plus
-    lam = scale_factor(CurvatureCase.GAUSSIAN, e2, 1.0, 1.0)
-    return CoherentParams(
-        xi=xi, alpha=alpha, lambda_scale=lam, n_label=n, tau=tau,
-        phase_convention=PhaseConvention.CORRECTED,
-    )
 
 
 def test_criterion_01_table1_reproduction():
@@ -142,7 +130,7 @@ def test_criterion_07_series_oracle_equivalence():
     worst = 0.0
     for alpha in ALPHAS:
         for xi in XIS:
-            params = _gaussian_params(alpha, 0, xi)
+            params = CoherentParams.for_case(CurvatureCase.GAUSSIAN, alpha, 0, xi)
             closed = coherent_closed_form(x, params)
             series = coherent_series(x, params)
             worst = max(worst, float(np.max(np.abs(closed - series)) / np.max(np.abs(closed))))
@@ -155,7 +143,7 @@ def test_criterion_08_xi_zero_reduction():
     x = rng.uniform(0.01, 2.0, size=100)
     worst = 0.0
     for alpha in ALPHAS:
-        params = _gaussian_params(alpha, 0, 0.0 + 0.0j)
+        params = CoherentParams.for_case(CurvatureCase.GAUSSIAN, alpha, 0, 0.0 + 0.0j)
         closed = coherent_closed_form(x, params)
         eig = eigenfunction_x(0, alpha, params.lambda_scale, x)
         worst = max(worst, float(np.max(np.abs(closed - eig) / np.abs(eig))))
@@ -165,15 +153,16 @@ def test_criterion_08_xi_zero_reduction():
 
 def test_criterion_09_time_evolution():
     x = np.linspace(0.01, 2.0, 400)
-    params0 = _gaussian_params(Fraction(1, 2), 1, 0.5 + 0.2j, tau=0.0)
+    params0 = CoherentParams.for_case(CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.5 + 0.2j)
     exact_tau0 = bool(
         np.array_equal(coherent_evolved(x, params0), coherent_closed_form(x, params0))
     )
     periodic = 0.0
     d0 = density_profile(x, params0, evolved=True).values
-    d1 = density_profile(
-        x, _gaussian_params(Fraction(1, 2), 1, 0.5 + 0.2j, tau=2.0 * math.pi), evolved=True
-    ).values
+    params_2pi = CoherentParams.for_case(
+        CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.5 + 0.2j, tau=2.0 * math.pi
+    )
+    d1 = density_profile(x, params_2pi, evolved=True).values
     periodic = float(np.max(np.abs(d0 - d1)) / np.max(d0))
     # single-command emission of the published evolution-figure parameters
     res = CliRunner().invoke(

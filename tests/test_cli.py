@@ -216,6 +216,34 @@ def test_negative_n_rejected(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--alpha", "1/2", "--R", "nan"],
+        ["spectrum", "--alpha", "1/2", "--m", "nan"],
+        ["spectrum", "--alpha", "1/2", "--R", "inf"],
+        ["spectrum", "--alpha", "1/2", "--n", "-3..1"],
+        ["density", "--alpha", "1/2", "--xi", "nan"],
+        ["density", "--alpha", "1/2", "--xi", "0.3", "--R", "inf"],
+        ["density", "--alpha", "1/2", "--xi", "0.3", "--x-min", "2", "--x-max", "1"],
+        ["evolve", "--alpha", "1/2", "--xi", "0.3", "--tau", "nan"],
+        ["verify", "--grid-h", "0"],
+        ["verify", "--suite", "casimir", "--grid-h", "nan"],
+        ["table", "--reproduce", "table1", "--tol", "nan"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_bad_input_exits_2_with_one_line_message(runner, args):
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)  # not an uncaught error
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert res.stderr.rstrip("\n").endswith(errors[0])
+
+
 def test_spectrum_output_file(runner, tmp_path):
     out = tmp_path / "spec.csv"
     res = invoke(runner, ["spectrum", "--alpha", "1/2", "--n", "0..1", "-o", str(out)])

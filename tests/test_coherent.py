@@ -93,6 +93,18 @@ def test_series_matches_closed_form(alpha, xi):
     assert rel < 1e-6
 
 
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("xi", XIS)
+def test_series_at_term_clamp_matches_closed_form(alpha, xi):
+    # 600 terms is the upper clamp of suggested_series_terms; the automatic
+    # count on this grid is only 38-173, so this reaches the far terms
+    params = params_for(alpha, xi=xi)
+    closed = coherent_closed_form(X_GRID, params)
+    series = coherent_series(X_GRID, params, n_terms=600)
+    rel = np.max(np.abs(closed - series)) / np.max(np.abs(closed))
+    assert rel < 1e-6
+
+
 def test_series_self_convergence():
     params = params_for(Fraction(1, 2), xi=0.5 + 0.2j)
     a = coherent_series(X_GRID, params, n_terms=60)

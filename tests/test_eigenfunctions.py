@@ -9,24 +9,29 @@ import numpy as np
 import pytest
 
 from dunklkg import (
+    CoherentParams,
     CurvatureCase,
     DegenerateError,
     DomainError,
     approximation_gap,
-    bargmann_index,
     eigenfunction_r,
     eigenfunction_x,
     energy_squared_case1,
     full_wavefunction_even,
     normalization,
     ode_residual,
-    radial_coupling,
-    reduced_ode_coefficients,
     scale_factor,
     sigma_index,
 )
 
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
+CASE_BRANCHES = [
+    (CurvatureCase.GAUSSIAN, None),
+    (CurvatureCase.RATIONAL, "plus"),
+    (CurvatureCase.RATIONAL, "minus"),
+    (CurvatureCase.SINC, "plus"),
+    (CurvatureCase.SINC, "minus"),
+]
 
 
 def case1_lambda(n, alpha, R=1.0, m=1.0):
@@ -78,18 +83,6 @@ def test_lambda_zero_rejected():
         normalization(0, Fraction(1, 2), 0.0)
 
 
-def test_radial_eigenfunction_container():
-    from dunklkg import RadialEigenfunction
-
-    alpha = Fraction(1, 2)
-    lam = case1_lambda(1, alpha)
-    state = RadialEigenfunction.build(1, alpha, lam)
-    assert state.normalization == pytest.approx(normalization(1, alpha, lam), rel=1e-15)
-    assert state.value_x(0.0) == 0.0
-    assert state.value_x(0.7) == pytest.approx(eigenfunction_x(1, alpha, lam, 0.7), rel=1e-15)
-    assert state.value_r(1.3) == pytest.approx(eigenfunction_r(1, alpha, 1.3), rel=1e-15)
-
-
 # --- x-form vs r-form ------------------------------------------------------------
 
 def test_x_equals_normalized_r_composition():
@@ -105,32 +98,27 @@ def test_x_equals_normalized_r_composition():
 
 def test_even_factorization():
     # apart from (sqrt(Lambda) x)^(2 sigma + 1), the state depends on x only
-    # through x^2: F(x) = norm * power * exp(-i Lambda x^2/2) L_n(i Lambda x^2)
+    # through x^2: F(x) = norm * power * exp(-i Lambda x^2/2) L_n(i Lambda x^2).
+    # One loop over every case/branch covers rational and sinc scale factors.
     alpha = Fraction(3, 2)
     n = 2
-    lam = case1_lambda(n, alpha)
     sig = sigma_index(alpha)
-    norm = normalization(n, alpha, lam)
-    for x in (0.2, 0.7, 1.3):
-        power = cmath.exp((2 * sig + 1) * (0.5 * cmath.log(lam) + math.log(x)))
-        u = x * x
-        even_part = cmath.exp(-0.5j * lam * u) * (
-            # L_2^a(z) by the recurrence, z = i Lambda u
-            ((3 + 2 * sig - 1j * lam * u) * (1 + 2 * sig - 1j * lam * u) - (1 + 2 * sig)) / 2
-        )
-        assert eigenfunction_x(n, alpha, lam, x) == pytest.approx(
-            norm * power * even_part, rel=1e-12
-        )
+    for case, branch in CASE_BRANCHES:
+        lam = CoherentParams.for_case(case, alpha, n, 0.0, branch=branch).lambda_scale
+        norm = normalization(n, alpha, lam)
+        for x in (0.2, 0.7, 1.3):
+            power = cmath.exp((2 * sig + 1) * (0.5 * cmath.log(lam) + math.log(x)))
+            u = x * x
+            even_part = cmath.exp(-0.5j * lam * u) * (
+                # L_2^a(z) by the recurrence, z = i Lambda u
+                ((3 + 2 * sig - 1j * lam * u) * (1 + 2 * sig - 1j * lam * u) - (1 + 2 * sig)) / 2
+            )
+            assert eigenfunction_x(n, alpha, lam, x) == pytest.approx(
+                norm * power * even_part, rel=1e-12
+            ), (case, branch, x)
 
 
 # --- ODE residuals ----------------------------------------------------------------
-
-def test_ode_coefficients():
-    coeffs = reduced_ode_coefficients(3, Fraction(3, 2))
-    assert coeffs.b_r == pytest.approx(radial_coupling(Fraction(3, 2)))
-    assert coeffs.c_r == pytest.approx(0.25)
-    assert coeffs.a_r == pytest.approx(1j * (bargmann_index(Fraction(3, 2)) + 3), rel=1e-14)
-
 
 def test_ode_residual_ground_state():
     # the closed form satisfies the equation exactly; the measured level is

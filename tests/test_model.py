@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dunklkg import (
-    AlgebraData,
     CurvatureCase,
     DegenerateError,
     DomainError,
@@ -108,13 +107,6 @@ def test_sigma_identity_sweep():
         sig = sigma_index(alpha)
         assert abs(sig * sig - (1.0 / 16.0 - float(alpha) / 2.0)) < 1e-13
         assert sig == bargmann_index(alpha) - 0.5
-
-
-def test_algebra_data_from_alpha():
-    data = AlgebraData.from_alpha(Fraction(3, 2))
-    assert data.sigma == data.k - 0.5
-    assert abs(data.casimir + data.c) < 1e-15
-    assert data.c == pytest.approx(0.75 + 3.0 / 16.0)
 
 
 # --- curvature profiles ---------------------------------------------------------
