@@ -51,7 +51,6 @@ from .gridops import (
     commutator_apply,
     derivative_4th,
     dunkl_apply,
-    dunkl_shorthand_apply,
     ladder_apply,
     positive_grid,
     sample_positive,

@@ -112,19 +112,24 @@ def _emit(text: str, output: Optional[str]) -> None:
 def _exit_codes(command):
     """The CLI's one error boundary: bad input exits 2, a failed computation exits 1.
 
-    NormalizationError, ValueError and OverflowError are failed computations
-    and print ``error: ...``; every other DunklKGError is bad input and
-    becomes a usage error.
+    NormalizationError, ValueError, OverflowError and MemoryError (a grid
+    larger than the machine can hold) are failed computations and print
+    ``error: ...``; every other DunklKGError, and an OSError from an
+    unreadable --config or unwritable -o path, is bad input and becomes a
+    usage error.  A closed stdout pipe is left to click, which exits 1
+    quietly.
     """
 
     @functools.wraps(command)
     def guarded(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except (NormalizationError, ValueError, OverflowError) as exc:
+        except (NormalizationError, ValueError, OverflowError, MemoryError) as exc:
             click.echo(f"error: {exc}", err=True)
             raise click.exceptions.Exit(1) from exc
-        except DunklKGError as exc:
+        except BrokenPipeError:
+            raise
+        except (DunklKGError, OSError) as exc:
             raise click.UsageError(str(exc)) from exc
 
     return guarded

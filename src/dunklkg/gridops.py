@@ -8,13 +8,8 @@ Derivatives use 4th-order stencils: 5-point central rows in the interior
 and shifted 4th-order rows at the two points nearest each edge, so every
 returned sample has O(h^4) truncation.
 
-Two realizations of the Dunkl derivative are exposed.  ``dunkl_apply``
-implements the reflection form D f = f' + (alpha/x)(1 - P) f with P the
-parity operator, which is the ground truth here.  ``dunkl_shorthand_apply``
-implements the even-sector shorthand f' + (2 alpha / x) f.  The two agree
-on odd functions but differ on even ones (the reflection form reduces to
-the plain derivative there); both are kept so the discrepancy can be
-measured instead of silently resolved.
+``dunkl_apply`` implements the reflection form of the Dunkl derivative,
+D f = f' + (alpha/x)(1 - P) f with P the parity operator.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ __all__ = [
     "commutator_apply",
     "derivative_4th",
     "dunkl_apply",
-    "dunkl_shorthand_apply",
     "ladder_apply",
     "positive_grid",
     "sample_positive",
@@ -165,13 +159,6 @@ def dunkl_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     reflected = gf.values[::-1]  # exact mirror on a symmetric grid
     out = deriv + a / gf.points * (gf.values - reflected)
     return gf.with_values(out)
-
-
-def dunkl_shorthand_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
-    """Even-sector shorthand D f = f' + (2 alpha / x) f (delta = 1)."""
-    a = float(alpha)
-    deriv = derivative_4th(gf.values, gf.h)
-    return gf.with_values(deriv + 2.0 * a / gf.points * gf.values)
 
 
 def z3_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:

@@ -11,6 +11,11 @@ computation gives
 so the suite reports residuals against both the printed and the derived
 right-hand sides instead of asserting either.
 
+Each assertable record also carries the inputs that fix what it measured:
+the grid spacing ``h`` of the residual bounds, ``h_coarse``/``h_fine`` of
+the convergence checks, and ``seed``/``samples`` of the random-sample
+checks.
+
 Convergence-order checks compare a grid spacing h against h/2 in the
 regime where the 4th-order truncation term still dominates the
 double-precision round-off floor of the second-difference stencil
@@ -66,6 +71,7 @@ GAUSSIAN = CurvatureCase.GAUSSIAN
 # standard grids
 R_MIN, R_MAX = 0.1, 20.0
 SERIES_X = np.linspace(0.01, 1.2, 120)
+DENSITY_X = np.linspace(0.01, 2.0, 400)
 
 # minimum spacings for the h -> h/2 convergence diagnostics (see module doc)
 ODE_CONV_H = 0.004
@@ -88,7 +94,10 @@ def z3_eigenvalue_residual(
     return float(np.max(np.abs(res)) / np.max(np.abs(f)))
 
 
-def _check(name: str, measured: float, tolerance: Optional[float], kind: str = "max") -> Dict:
+def _check(
+    name: str, measured: float, tolerance: Optional[float], kind: str = "max", **inputs
+) -> Dict:
+    """One assertable record; ``inputs`` (grid spacings, seeds, sample counts) ride along."""
     passed = measured <= tolerance if kind == "max" else measured >= tolerance
     return {
         "name": name,
@@ -96,6 +105,7 @@ def _check(name: str, measured: float, tolerance: Optional[float], kind: str = "
         "tolerance": tolerance,
         "kind": kind,
         "status": "pass" if passed else "fail",
+        **inputs,
     }
 
 
@@ -146,32 +156,35 @@ def _sweep_max(fn: Callable[[int, Fraction], float]) -> float:
     return max(fn(n, alpha) for alpha in SWEEP_ALPHAS for n in SWEEP_N)
 
 
+def _residual_bound(name: str, residual: Callable[..., float], h: float, tolerance: float) -> Dict:
+    worst = _sweep_max(lambda n, a: residual(n, a, R_MIN, R_MAX, h))
+    return _check(name, worst, tolerance, h=h)
+
+
+def _residual_convergence(
+    name: str, residual: Callable[..., float], h: float, h_min: float
+) -> Dict:
+    """Shrink factor of the sweep's worst residual from 2h to h, with h >= h_min."""
+    h_fine = max(h, h_min)
+    coarse = _sweep_max(lambda n, a: residual(n, a, R_MIN, R_MAX, 2.0 * h_fine))
+    fine = _sweep_max(lambda n, a: residual(n, a, R_MIN, R_MAX, h_fine))
+    return _check(name, coarse / fine, 8.0, "min", h_coarse=2.0 * h_fine, h_fine=h_fine)
+
+
 def check_ode_residual(h: float) -> Dict:
-    worst = _sweep_max(lambda n, a: ode_residual(n, a, R_MIN, R_MAX, h))
-    return _check("ode_residual", worst, 1e-5)
+    return _residual_bound("ode_residual", ode_residual, h, 1e-5)
 
 
 def check_ode_convergence(h: float) -> Dict:
-    h_conv = max(h, ODE_CONV_H)
-    coarse = _sweep_max(lambda n, a: ode_residual(n, a, R_MIN, R_MAX, 2.0 * h_conv))
-    fine = _sweep_max(lambda n, a: ode_residual(n, a, R_MIN, R_MAX, h_conv))
-    out = _check("ode_convergence", coarse / fine, 8.0, kind="min")
-    out.update({"h_coarse": 2.0 * h_conv, "h_fine": h_conv})
-    return out
+    return _residual_convergence("ode_convergence", ode_residual, h, ODE_CONV_H)
 
 
 def check_z3_eigenvalue(h: float) -> Dict:
-    worst = _sweep_max(lambda n, a: z3_eigenvalue_residual(n, a, R_MIN, R_MAX, h))
-    return _check("z3_eigenvalue", worst, 1e-4)
+    return _residual_bound("z3_eigenvalue", z3_eigenvalue_residual, h, 1e-4)
 
 
 def check_z3_convergence(h: float) -> Dict:
-    h_conv = max(h, Z3_CONV_H)
-    coarse = _sweep_max(lambda n, a: z3_eigenvalue_residual(n, a, R_MIN, R_MAX, 2.0 * h_conv))
-    fine = _sweep_max(lambda n, a: z3_eigenvalue_residual(n, a, R_MIN, R_MAX, h_conv))
-    out = _check("z3_convergence", coarse / fine, 8.0, kind="min")
-    out.update({"h_coarse": 2.0 * h_conv, "h_fine": h_conv})
-    return out
+    return _residual_convergence("z3_convergence", z3_eigenvalue_residual, h, Z3_CONV_H)
 
 
 def check_series_agreement() -> Dict:
@@ -187,100 +200,104 @@ def check_series_agreement() -> Dict:
 
 
 def check_xi_zero_reduction() -> Dict:
-    rng = np.random.default_rng(20240811)
-    x = rng.uniform(0.01, 2.0, size=100)
+    seed, samples = 20240811, 100
+    x = np.random.default_rng(seed).uniform(0.01, 2.0, size=samples)
     worst = 0.0
     for alpha in SWEEP_ALPHAS:
         params = CoherentParams.for_case(GAUSSIAN, alpha, 0, 0.0 + 0.0j)
         closed = coherent_closed_form(x, params)
         eig = eigenfunction_x(0, alpha, params.lambda_scale, x)
         worst = max(worst, float(np.max(np.abs(closed - eig) / np.abs(eig))))
-    return _check("xi_zero_reduction", worst, 1e-12)
+    return _check("xi_zero_reduction", worst, 1e-12, seed=seed, samples=samples)
 
 
 def check_tau_zero_reduction() -> Dict:
     worst = 0.0
     for alpha in SWEEP_ALPHAS:
         params = CoherentParams.for_case(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=0.0)
-        closed = coherent_closed_form(SERIES_X, params)
-        evolved = coherent_evolved(SERIES_X, params)
+        closed = coherent_closed_form(DENSITY_X, params)
+        evolved = coherent_evolved(DENSITY_X, params)
         worst = max(worst, float(np.max(np.abs(closed - evolved)) / np.max(np.abs(closed))))
     return _check("tau_zero_reduction", worst, 1e-15)
 
 
 def check_tau_periodicity() -> Dict:
-    x = np.linspace(0.01, 2.0, 400)
     worst = 0.0
     for alpha in SWEEP_ALPHAS:
         for tau0 in (0.0, math.pi / 2):
-            base = density_profile(
-                x, CoherentParams.for_case(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=tau0), evolved=True
-            ).values
-            shifted = density_profile(
-                x,
-                CoherentParams.for_case(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=tau0 + 2.0 * math.pi),
-                evolved=True,
-            ).values
+            base, shifted = (
+                density_profile(
+                    DENSITY_X,
+                    CoherentParams.for_case(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=tau),
+                    evolved=True,
+                ).values
+                for tau in (tau0, tau0 + 2.0 * math.pi)
+            )
             worst = max(worst, float(np.max(np.abs(base - shifted)) / np.max(base)))
     return _check("tau_periodicity", worst, 1e-10)
 
 
 def check_laguerre_recurrence() -> Dict:
-    rng = np.random.default_rng(977101)
+    seed, samples = 977101, 200
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(200):
+    for _ in range(samples):
         a = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
         z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
         seq = complexfn.laguerre_sequence(31, a, z)
         for n in range(1, 30):
             lhs = (n + 1) * seq[n + 1] - (2 * n + 1 + a - z) * seq[n] + (n + a) * seq[n - 1]
             worst = max(worst, abs(lhs) / max(1.0, abs(seq[n])))
-    return _check("laguerre_recurrence", worst, 1e-10)
+    return _check("laguerre_recurrence", worst, 1e-10, seed=seed, samples=samples)
 
 
 def check_gamma_recurrence() -> Dict:
-    rng = np.random.default_rng(515253)
+    seed, samples = 515253, 500
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(500):
+    for _ in range(samples):
         z = complex(rng.uniform(0.5, 19.0), rng.uniform(-49.0, 49.0))
         g1 = complexfn.gamma(z + 1.0)
         worst = max(worst, abs(g1 - z * complexfn.gamma(z)) / abs(g1))
-    return _check("gamma_recurrence", worst, 1e-11)
+    return _check("gamma_recurrence", worst, 1e-11, seed=seed, samples=samples)
 
 
 def check_gamma_reflection() -> Dict:
-    rng = np.random.default_rng(616263)
+    seed, samples = 616263, 500
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(500):
+    for _ in range(samples):
         z = complex(rng.uniform(-5.0, 5.0), rng.choice([-1, 1]) * rng.uniform(0.1, 10.0))
         lhs = complexfn.gamma(z) * complexfn.gamma(1.0 - z)
         rhs = math.pi / complex(np.sin(math.pi * z))
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return _check("gamma_reflection", worst, 1e-10)
+    return _check("gamma_reflection", worst, 1e-10, seed=seed, samples=samples)
 
 
 def check_sqrt_roundtrip() -> Dict:
-    rng = np.random.default_rng(717273)
+    seed, samples = 717273, 10000
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(10000):
+    for _ in range(samples):
         z = complex(rng.uniform(-50, 50), rng.uniform(-50, 50))
         if z == 0:
             continue
         root = complexfn.principal_sqrt(z)
         worst = max(worst, abs(root * root - z) / abs(z))
-    return _check("sqrt_square_roundtrip", worst, 1e-14)
+    return _check("sqrt_square_roundtrip", worst, 1e-14, seed=seed, samples=samples)
 
 
 def check_pow_identities() -> Dict:
-    rng = np.random.default_rng(818283)
+    seed, samples = 818283, 2000
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(2000):
+    for _ in range(samples):
         z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
         if z == 0:
             continue
         worst = max(worst, abs(complexfn.principal_pow(z, 1.0) - z) / abs(z))
         worst = max(worst, abs(complexfn.principal_pow(z, 0.0) - 1.0))
-    return _check("pow_identities", worst, 1e-15)
+    return _check("pow_identities", worst, 1e-15, seed=seed, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +391,13 @@ def diagnostics_ladder(alpha=Fraction(1, 2)) -> List[Dict]:
 
 def diagnostics_peak_trend() -> List[Dict]:
     """Density peak locations versus n and alpha (figure-trend diagnostics)."""
-    x = np.linspace(0.01, 2.0, 400)
     peaks: Dict[str, List[float]] = {}
     for alpha in SWEEP_ALPHAS:
         row = []
         for n in SWEEP_N:
             params = CoherentParams.for_case(GAUSSIAN, alpha, n, 0.5 + 0.2j)
-            dens = density_profile(x, params).values
-            row.append(float(x[int(np.argmax(dens))]))
+            dens = density_profile(DENSITY_X, params).values
+            row.append(float(DENSITY_X[int(np.argmax(dens))]))
         peaks[str(alpha)] = row
     increases_with_n = {
         a: all(row[i] <= row[i + 1] for i in range(len(row) - 1)) for a, row in peaks.items()

@@ -230,6 +230,10 @@ def test_negative_n_rejected(runner):
         ["verify", "--grid-h", "0"],
         ["verify", "--suite", "casimir", "--grid-h", "nan"],
         ["table", "--reproduce", "table1", "--tol", "nan"],
+        ["spectrum", "--alpha", "1/2", "-o", "/nonexistent-dir/out.csv"],
+        ["spectrum", "--alpha", "1/2", "-o", "/"],
+        ["spectrum", "--alpha", "1/2", "--config", "/"],
+        ["verify", "--suite", "casimir", "-o", "/nonexistent-dir/x.json"],
     ],
     ids=lambda args: " ".join(args),
 )
@@ -242,6 +246,36 @@ def test_bad_input_exits_2_with_one_line_message(runner, args):
     errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
     assert len(errors) == 1
     assert res.stderr.rstrip("\n").endswith(errors[0])
+
+
+# Both sizes (7 PiB and 1.4 PiB) exceed any address space, so numpy refuses
+# them before touching memory.
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["density", "--alpha", "1/2", "--xi", "0.3", "--points", "1000000000000000"],
+        ["verify", "--suite", "ode_residual", "--grid-h", "1e-13"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_unallocatable_grid_exits_1_with_one_line_message(runner, args):
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: Unable to allocate")
+    assert res.stderr.count("\n") == 1
+
+
+def test_closed_stdout_pipe_exits_1_quietly(runner, monkeypatch):
+    # a reader that goes away (`dunklkg ... | head`) is not a bad-input error
+    def closed_pipe(text, output):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("dunklkg.cli._emit", closed_pipe)
+    res = runner.invoke(cli, ["spectrum", "--alpha", "1/2"])
+    assert res.exit_code == 1
+    assert "Error" not in res.stderr
 
 
 def test_spectrum_output_file(runner, tmp_path):

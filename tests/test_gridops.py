@@ -13,7 +13,6 @@ from dunklkg import (
     commutator_apply,
     derivative_4th,
     dunkl_apply,
-    dunkl_shorthand_apply,
     eigenfunction_r,
     ladder_apply,
     positive_grid,
@@ -127,17 +126,6 @@ def test_dunkl_requires_symmetric_grid():
     gf = sample_positive(lambda r: r, 1.0, 2.0, 0.05)
     with pytest.raises(GridError):
         dunkl_apply(gf, Fraction(1, 2))
-
-
-def test_shorthand_disagrees_on_even_functions():
-    # reflection form gives f' on even f; the delta=1 shorthand adds 2a/x f
-    h = 0.01
-    gf = sample_symmetric(lambda x: x**2, h, 100)
-    alpha = Fraction(1, 2)
-    reflection = dunkl_apply(gf, alpha).values
-    shorthand = dunkl_shorthand_apply(gf, alpha).values
-    expected_gap = 2.0 * float(alpha) / gf.points * gf.values
-    assert np.max(np.abs(shorthand - reflection - expected_gap)) < 1e-9
 
 
 # --- Z3 and ladder operators --------------------------------------------------------
