@@ -18,6 +18,7 @@ from .coherent import (
     coherent_evolved,
     coherent_series,
     density_profile,
+    profiles_to_json,
     suggested_series_terms,
 )
 from .complexfn import (

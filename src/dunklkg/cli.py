@@ -2,11 +2,11 @@
 published-table regression, and the verification suite.
 
 Output is byte-deterministic for a fixed invocation: CSV numerics use 9
-significant digits, JSON numbers are emitted with Python's shortest
-round-trip repr (<= 17 significant digits).  The DUNKLKG_FORMAT
-environment variable sets the default output format; a config file passed
-via --config holds key=value lines whose values override the
-corresponding flags.
+significant digits, JSON documents are exactly what json.dumps(...,
+indent=2) writes (numbers in Python's shortest round-trip repr, <= 17
+significant digits).  The DUNKLKG_FORMAT environment variable sets the
+default output format; a config file passed via --config holds key=value
+lines whose values override the corresponding flags.
 """
 
 from __future__ import annotations
@@ -15,16 +15,17 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from typing import List, Optional
 
 import click
 
-from .coherent import PhaseConvention, build_profile
+from .coherent import PhaseConvention, build_profile, profiles_to_json
 from .errors import DunklKGError, NormalizationError
 from .model import CurvatureCase, PhysParams, parse_alpha, parse_complex
 from .refdata import TABLES, compare_reference
-from .spectrum import spectrum_table, table_to_csv, table_to_json
+from .spectrum import csv_comment, csv_field, spectrum_table, table_to_csv, table_to_json
 from .verify import report_to_json, run_verification
 
 ENV_FORMAT = "DUNKLKG_FORMAT"
@@ -101,12 +102,38 @@ def _default_format() -> str:
     return fmt if fmt in ("csv", "json") else "csv"
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _opens_output(command):
+    """Open the -o file before the command computes anything.
+
+    An unwritable path then fails at once, not after the work.  The file is
+    opened for appending, so a run that fails leaves an existing file's
+    bytes as they were, and a file it had to create is removed again;
+    ``_emit`` replaces the contents on success.
+    """
+
+    @functools.wraps(command)
+    def opened(*args, output=None, **kwargs):
+        if output is None:
+            return command(*args, output=None, **kwargs)
+        existed = os.path.exists(output)
+        with open(output, "a", encoding="utf-8") as fh:
+            try:
+                return command(*args, output=fh, **kwargs)
+            finally:
+                if not existed and fh.tell() == 0:  # failed before writing
+                    os.unlink(output)
+
+    return opened
+
+
+def _emit(text: str, output) -> None:
+    """Write to stdout, or replace the contents of the opened -o file."""
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    if stat.S_ISREG(os.fstat(output.fileno()).st_mode):  # not /dev/null, a pipe, ...
+        output.truncate(0)
+    output.write(text)
 
 
 def _exit_codes(command):
@@ -154,6 +181,7 @@ def cli():
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("-o", "--output", default=None, help="write to file instead of stdout")
 @_exit_codes
+@_opens_output
 def cmd_spectrum(case_name, alpha_text, n_spec, curvature, mass, fmt, config_path, output):
     """Emit the complex energy table for the chosen case."""
     cfg = _load_config(config_path)
@@ -189,6 +217,7 @@ def cmd_spectrum(case_name, alpha_text, n_spec, curvature, mass, fmt, config_pat
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
 @click.option("-o", "--output", default=None)
 @_exit_codes
+@_opens_output
 def cmd_table(table_id, tol, fmt, output):
     """Regenerate a published reference table and diff it entrywise.
 
@@ -207,26 +236,18 @@ def cmd_table(table_id, tol, fmt, output):
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        meta = {
+            "table": cmp.table,
+            "case": cmp.case.value,
+            "tolerance": cmp.tolerance,
+            "max_deviation": cmp.max_deviation,
+            "passed": cmp.passed,
+        }
         lines = [
-            f"# table={cmp.table} case={cmp.case.value} tolerance={format(cmp.tolerance, '.9g')} "
-            f"max_deviation={format(cmp.max_deviation, '.9g')} passed={str(cmp.passed).lower()}",
+            csv_comment(meta),
             "alpha,n,branch,computed_re,computed_im,reference_re,reference_im,deviation",
         ]
-        for e in cmp.entries:
-            lines.append(
-                ",".join(
-                    [
-                        e["alpha"],
-                        str(e["n"]),
-                        e["branch"],
-                        format(e["computed_re"], ".9g"),
-                        format(e["computed_im"], ".9g"),
-                        format(e["reference_re"], ".9g"),
-                        format(e["reference_im"], ".9g"),
-                        format(e["deviation"], ".9g"),
-                    ]
-                )
-            )
+        lines += [",".join(map(csv_field, e.values())) for e in cmp.entries]
         text = "\n".join(lines) + "\n"
     _emit(text, output)
     if not cmp.passed:
@@ -255,6 +276,7 @@ def _profile_command(evolved: bool):
     @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
     @click.option("-o", "--output", default=None)
     @_exit_codes
+    @_opens_output
     def command(case_name, alpha_text, xi_text, n_spec, tau_spec, branch, convention,
                 curvature, mass, x_min, x_max, points, fmt, config_path, output):
         cfg = _load_config(config_path)
@@ -297,7 +319,7 @@ def _profile_command(evolved: bool):
             if profile.meta.get("warning"):
                 click.echo(f"warning: {profile.meta['warning']}", err=True)
         if vals["format"] == "json":
-            text = json.dumps({"profiles": [p.to_json_obj() for p in profiles]}, indent=2) + "\n"
+            text = profiles_to_json(profiles)
         else:
             text = "\n".join(p.to_csv() for p in profiles)
         _emit(text, output)
@@ -316,6 +338,7 @@ cmd_evolve.help = "Emit time-evolved normalized density profiles."
 @click.option("--grid-h", default=1e-3, show_default=True, type=float)
 @click.option("-o", "--output", default=None)
 @_exit_codes
+@_opens_output
 def cmd_verify(suite, grid_h, output):
     """Run the verification suite; exit 0 iff every assertable check passes.
 

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +42,15 @@ from .errors import DomainError, NormalizationError
 from .eigenfunctions import normalization, radial_envelope
 from .gridops import POSITIVE, GridFunction
 from .model import AlphaLike, CurvatureCase, bargmann_index, scale_factor, sigma_index
-from .spectrum import energy_pair
+from .spectrum import (
+    CSV_FLOAT,
+    csv_comment,
+    csv_field,
+    energy_pair,
+    json_array,
+    json_object,
+    json_records,
+)
 
 __all__ = [
     "CoherentParams",
@@ -52,6 +61,7 @@ __all__ = [
     "coherent_evolved",
     "coherent_series",
     "density_profile",
+    "profiles_to_json",
     "suggested_series_terms",
 ]
 
@@ -276,7 +286,11 @@ _UNSTABLE_ALPHA = Fraction(7, 2)
 
 
 def _format_complex(z: complex) -> str:
-    return f"{format(z.real, '.9g')}{'+' if z.imag >= 0 else '-'}{format(abs(z.imag), '.9g')}i"
+    return f"{csv_field(z.real)}{'+' if z.imag >= 0 else '-'}{csv_field(abs(z.imag))}i"
+
+
+_SAMPLE_KEYS = ("x", "re", "im", "density")
+_CSV_ROW = ",".join([CSV_FLOAT] * len(_SAMPLE_KEYS)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -285,6 +299,7 @@ class ProfileData:
 
     ``meta`` holds natively typed values; the CSV writer renders them
     (floats at 9 significant digits, booleans lowercase, None empty).
+    Both writers format the samples from whole arrays with one ``%`` call.
     """
 
     x: np.ndarray
@@ -292,25 +307,14 @@ class ProfileData:
     density: np.ndarray      # normalized |R|^2
     meta: dict = field(default_factory=dict)
 
-    def to_csv(self) -> str:
-        def fmt(value):
-            if isinstance(value, bool):
-                return str(value).lower()
-            if isinstance(value, float):
-                return format(value, ".9g")
-            if value is None:
-                return ""
-            return str(value)
+    def _table(self) -> np.ndarray:
+        """(points, 4) samples in ``_SAMPLE_KEYS`` order."""
+        return np.column_stack([self.x, self.values.real, self.values.imag, self.density])
 
-        header = " ".join(f"{key}={fmt(value)}" for key, value in self.meta.items())
-        lines = [f"# {header}", "x,re,im,density"]
-        for xv, val, dv in zip(self.x, self.values, self.density):
-            lines.append(
-                ",".join(
-                    format(v, ".9g") for v in (xv, val.real, val.imag, dv)
-                )
-            )
-        return "\n".join(lines) + "\n"
+    def to_csv(self) -> str:
+        table = self._table()
+        body = (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())
+        return f"{csv_comment(self.meta)}\n{','.join(_SAMPLE_KEYS)}\n{body}"
 
     def to_json_obj(self) -> dict:
         obj = dict(self.meta)
@@ -320,8 +324,33 @@ class ProfileData:
         ]
         return obj
 
+    def _json_template(self, depth: int):
+        """This profile's JSON object nested ``depth`` levels deep: the ``%``
+        template and the values for its slots."""
+        table = self._table()
+        samples = table.ravel().tolist()
+        if not np.isfinite(table).all():  # str() writes nan/inf, json.dumps NaN/Infinity
+            samples = [json.dumps(v) for v in samples]
+        # a nested meta value is indented one level deeper than it would be alone
+        pad = "\n" + "  " * (depth + 1)
+        meta = [json.dumps(v, indent=2).replace("\n", pad) for v in self.meta.values()]
+        members = [(key, "%s") for key in self.meta]
+        members.append(("samples", json_records(_SAMPLE_KEYS, len(table), depth + 1)))
+        return json_object(members, depth), meta + samples
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        """Byte for byte ``json.dumps(self.to_json_obj(), indent=2) + "\\n"``."""
+        template, values = self._json_template(0)
+        return (template + "\n") % tuple(values)
+
+
+def profiles_to_json(profiles: Sequence[ProfileData]) -> str:
+    """The CLI's JSON document, byte for byte
+    ``json.dumps({"profiles": [p.to_json_obj() for p in profiles]}, indent=2) + "\\n"``,
+    filled in one ``%`` call."""
+    parts = [p._json_template(2) for p in profiles]
+    template = json_object([("profiles", json_array([t for t, _ in parts], 1))], 0)
+    return (template + "\n") % tuple(itertools.chain.from_iterable(v for _, v in parts))
 
 
 def build_profile(

@@ -228,45 +228,93 @@ def spectrum_table(
     return SpectrumTable(case=case, R=R, m=m, rows=tuple(rows))
 
 
-def _csv_num(x: Optional[float]) -> str:
-    return "" if x is None else format(x, ".9g")
+# --- text writers ------------------------------------------------------------
+# The one CSV number rule, and the layout of json.dumps(..., indent=2) as a
+# ``%`` template with one %s slot per value; both are shared with the
+# profile writers in ``coherent`` and the CLI.  A slot takes a finite float
+# or an int (str() writes the digits json.dumps writes) or a JSON text such
+# as "null", and filling a whole document in one call formats every number
+# in C.
+
+CSV_FLOAT = "%.9g"  # every CSV number: 9 significant digits
+
+
+def csv_field(value) -> str:
+    """One CSV field: floats at 9 significant digits, booleans lowercase, None empty."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return CSV_FLOAT % value
+    if value is None:
+        return ""
+    return str(value)
+
+
+def csv_comment(meta: dict) -> str:
+    """The '# key=value ...' line that heads a CSV block."""
+    return "# " + " ".join(f"{key}={csv_field(value)}" for key, value in meta.items())
+
+
+def json_array(items: Sequence[str], depth: int) -> str:
+    """Template of an array nested ``depth`` levels deep, from its items' templates."""
+    if not items:
+        return "[]"
+    sep = "\n" + "  " * (depth + 1)
+    return f"[{sep}{(',' + sep).join(items)}\n{'  ' * depth}]"
+
+
+def json_object(members: Sequence[Tuple[str, str]], depth: int) -> str:
+    """Template of an object nested ``depth`` levels deep, from (key, value template) pairs."""
+    if not members:
+        return "{}"
+    sep = "\n" + "  " * (depth + 1)
+    body = ("," + sep).join(
+        f"{json.dumps(key).replace('%', '%%')}: {item}" for key, item in members
+    )
+    return f"{{{sep}{body}\n{'  ' * depth}}}"
+
+
+def json_records(keys: Sequence[str], rows: int, depth: int = 0) -> str:
+    """Template of an array of ``rows`` objects that share ``keys``; its slots
+    take the member values row by row."""
+    item = json_object([(key, "%s") for key in keys], depth + 1)
+    return json_array([item] * rows, depth)
+
+
+_TABLE_KEYS = ("case", "alpha", "n", "re_e_plus", "im_e_plus", "re_e_minus", "im_e_minus")
+
+
+def _table_values(table: SpectrumTable):
+    """One tuple per row, in ``_TABLE_KEYS`` order; None where a branch is absent."""
+    for alpha, n, pair in table.rows:
+        em = pair.e_minus
+        yield (
+            table.case.value,
+            str(alpha),
+            n,
+            pair.e_plus.real,
+            pair.e_plus.imag,
+            None if em is None else em.real,
+            None if em is None else em.imag,
+        )
 
 
 def table_to_csv(table: SpectrumTable) -> str:
     """CSV rows (9 significant digits); empty fields where a branch is absent."""
-    lines = ["case,alpha,n,re_e_plus,im_e_plus,re_e_minus,im_e_minus"]
-    for alpha, n, pair in table.rows:
-        em = pair.e_minus
-        lines.append(
-            ",".join(
-                [
-                    table.case.value,
-                    str(alpha),
-                    str(n),
-                    _csv_num(pair.e_plus.real),
-                    _csv_num(pair.e_plus.imag),
-                    _csv_num(em.real if em is not None else None),
-                    _csv_num(em.imag if em is not None else None),
-                ]
-            )
-        )
+    lines = [",".join(_TABLE_KEYS)]
+    lines += [",".join(map(csv_field, row)) for row in _table_values(table)]
     return "\n".join(lines) + "\n"
 
 
 def table_to_json(table: SpectrumTable) -> str:
-    """JSON array, one object per row; floats keep full round-trip precision."""
-    objs = []
-    for alpha, n, pair in table.rows:
-        em = pair.e_minus
-        objs.append(
-            {
-                "case": table.case.value,
-                "alpha": str(alpha),
-                "n": n,
-                "re_e_plus": pair.e_plus.real,
-                "im_e_plus": pair.e_plus.imag,
-                "re_e_minus": em.real if em is not None else None,
-                "im_e_minus": em.imag if em is not None else None,
-            }
-        )
-    return json.dumps(objs, indent=2) + "\n"
+    """JSON array, one object per row; floats keep full round-trip precision.
+
+    Byte for byte ``json.dumps(rows, indent=2) + "\\n"``: one json.dumps
+    call renders every value (None as null, a non-finite energy as NaN or
+    Infinity) and one template lays out the array.
+    """
+    flat = [value for row in _table_values(table) for value in row]
+    # the only strings are case names and 'p/q' fractions, so no value's
+    # JSON text contains the list separator ', '
+    tokens = json.dumps(flat)[1:-1].split(", ") if flat else []
+    return (json_records(_TABLE_KEYS, len(table.rows)) + "\n") % tuple(tokens)

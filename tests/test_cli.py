@@ -1,12 +1,17 @@
 """Command-line surface: formats, exit codes, determinism, config handling."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dunklkg import CurvatureCase, build_profile
 from dunklkg.cli import cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -267,6 +272,33 @@ def test_unallocatable_grid_exits_1_with_one_line_message(runner, args):
     assert res.stderr.count("\n") == 1
 
 
+def test_unwritable_output_fails_before_any_work(runner, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the check ran before -o was opened")
+
+    monkeypatch.setattr("dunklkg.verify.check_casimir_identity", never)
+    res = runner.invoke(cli, ["verify", "--suite", "casimir", "-o", "/nonexistent-dir/x.json"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Error:" in res.stderr
+
+
+def test_failed_run_leaves_output_file_untouched(runner, tmp_path):
+    # the window [50, 60] underflows the density, so the run fails with exit 1
+    failing = ["density", "--alpha", "1/2", "--xi", "0.3", "--x-min", "50", "--x-max", "60"]
+    existing = tmp_path / "old.csv"
+    existing.write_bytes(b"previous contents\n")
+    res = runner.invoke(cli, failing + ["-o", str(existing)])
+    assert res.exit_code == 1
+    assert existing.read_bytes() == b"previous contents\n"
+    fresh = tmp_path / "new.csv"
+    assert runner.invoke(cli, failing + ["-o", str(fresh)]).exit_code == 1
+    assert not fresh.exists()
+    ok = invoke(runner, ["spectrum", "--alpha", "1/2", "--n", "0", "-o", str(existing)])
+    assert ok.exit_code == 0
+    assert existing.read_text().startswith("case,alpha,n")  # replaced, not appended
+
+
 def test_closed_stdout_pipe_exits_1_quietly(runner, monkeypatch):
     # a reader that goes away (`dunklkg ... | head`) is not a bad-input error
     def closed_pipe(text, output):
@@ -308,3 +340,67 @@ def test_verify_output_to_file(runner, tmp_path):
     res = invoke(runner, ["verify", "--suite", "sigma", "-o", str(out)])
     assert res.exit_code == 0
     assert json.loads(out.read_text())["passed"] is True
+
+
+# --- writers: byte for byte against the standard library and the goldens ---------
+
+@pytest.mark.parametrize(
+    "case, branch",
+    [("gaussian", None), ("rational", "plus"), ("rational", "minus"),
+     ("sinc", "plus"), ("sinc", "minus")],
+)
+def test_density_json_document_equals_json_dumps(runner, case, branch):
+    args = ["density", "--case", case, "--alpha", "3/2", "--xi", "0.5+0.2i", "--n", "0..3",
+            "--points", "40", "--format", "json"]
+    if branch:
+        args += ["--branch", branch]
+    res = invoke(runner, args)
+    assert res.exit_code == 0
+    profiles = [
+        build_profile(CurvatureCase(case), Fraction(3, 2), n, 0.5 + 0.2j, branch=branch, points=40)
+        for n in range(4)
+    ]
+    doc = {"profiles": [p.to_json_obj() for p in profiles]}
+    assert res.stdout == json.dumps(doc, indent=2) + "\n"
+
+
+def test_evolve_json_document_equals_json_dumps(runner):
+    res = invoke(
+        runner,
+        ["evolve", "--alpha", "1/2", "--xi", "0.3-0.4i", "--n", "1", "--tau", "0.7854,2.3562",
+         "--points", "30", "--format", "json"],
+    )
+    assert res.exit_code == 0
+    profiles = [
+        build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.3 - 0.4j, tau=tau,
+                      points=30, evolved=True)
+        for tau in (0.7854, 2.3562)
+    ]
+    doc = {"profiles": [p.to_json_obj() for p in profiles]}
+    assert res.stdout == json.dumps(doc, indent=2) + "\n"
+
+
+# The README-size calls; the golden files were written by the per-sample
+# writers that the whole-array writers replaced.
+GOLDEN_CALLS = [
+    ("density.csv", ["density", "--alpha", "1/2", "--xi", "0.5+0.2i", "--n", "0..5"]),
+    ("density.json", ["density", "--alpha", "1/2", "--xi", "0.5+0.2i", "--n", "0..5",
+                      "--format", "json"]),
+    ("evolve.json", ["evolve", "--alpha", "1/2", "--xi", "0.5+0.2i", "--n", "1",
+                     "--tau", "1.5708,4.7124,6.2832,9.4248", "--format", "json"]),
+    ("spectrum.csv", ["spectrum", "--case", "rational", "--alpha", "1/2", "--n", "0..5"]),
+    ("spectrum.json", ["spectrum", "--case", "rational", "--alpha", "1/2", "--n", "0..5",
+                       "--format", "json"]),
+    ("spectrum_gaussian.json", ["spectrum", "--alpha", "1/2", "--n", "0..2", "--format", "json"]),
+]
+
+
+@pytest.mark.parametrize("name, args", GOLDEN_CALLS, ids=[name for name, _ in GOLDEN_CALLS])
+def test_output_matches_golden_file(runner, tmp_path, name, args):
+    golden = (GOLDEN / name).read_bytes()
+    res = invoke(runner, args)
+    assert res.exit_code == 0
+    assert res.stdout_bytes == golden
+    out = tmp_path / name
+    assert invoke(runner, args + ["-o", str(out)]).exit_code == 0
+    assert out.read_bytes() == golden

@@ -2,6 +2,7 @@
 evolution, and density profiles."""
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from dunklkg import (
     DomainError,
     NormalizationError,
     PhaseConvention,
+    ProfileData,
     bargmann_index,
     build_profile,
     coherent_closed_form,
@@ -21,6 +23,7 @@ from dunklkg import (
     coherent_series,
     density_profile,
     eigenfunction_x,
+    profiles_to_json,
     suggested_series_terms,
 )
 
@@ -208,3 +211,71 @@ def test_profile_serialization_deterministic():
     assert prof.to_json() == prof.to_json()
     header = prof.to_csv().splitlines()[0]
     assert header.startswith("# case=gaussian alpha=1/2 n=1 xi=0.5+0.2i tau=0")
+
+
+# --- writers: byte for byte against the standard library ------------------------
+
+CASE_BRANCHES = [
+    (CurvatureCase.GAUSSIAN, None),
+    (CurvatureCase.RATIONAL, "plus"),
+    (CurvatureCase.RATIONAL, "minus"),
+    (CurvatureCase.SINC, "plus"),
+    (CurvatureCase.SINC, "minus"),
+]
+
+
+def writer_profiles():
+    """Every case/branch at n = 0..3, evolve at two tau, and extreme hand-built samples."""
+    profiles = [
+        build_profile(case, Fraction(3, 2), n, 0.5 + 0.2j, branch=branch, points=40)
+        for case, branch in CASE_BRANCHES
+        for n in range(4)
+    ]
+    profiles += [
+        build_profile(
+            CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.3 - 0.4j, tau=tau, points=30, evolved=True
+        )
+        for tau in (0.7854, 2.3562)
+    ]
+    extremes = np.array([-0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0, 0.1])
+    profiles.append(
+        ProfileData(
+            x=extremes,
+            values=extremes[::-1] + 1j * extremes,
+            density=extremes,
+            meta={"case": "hand-built", "n": 0, "tau": -0.0, "flag": True, "warning": None},
+        )
+    )
+    return profiles
+
+
+def test_profile_json_equals_json_dumps():
+    profiles = writer_profiles()
+    for prof in profiles:
+        assert prof.to_json() == json.dumps(prof.to_json_obj(), indent=2) + "\n"
+    nested = {"grid": [0.01, 2.0], "fit": {"terms": [1, {"tail": None}], "empty": []}}
+    profiles.append(ProfileData(x=np.ones(2), values=np.ones(2) + 0j, density=np.ones(2),
+                                meta=nested))
+    assert profiles[-1].to_json() == json.dumps(profiles[-1].to_json_obj(), indent=2) + "\n"
+    doc = {"profiles": [prof.to_json_obj() for prof in profiles]}
+    assert profiles_to_json(profiles) == json.dumps(doc, indent=2) + "\n"
+    assert profiles_to_json([]) == json.dumps({"profiles": []}, indent=2) + "\n"
+
+
+def test_profile_json_spells_non_finite_samples_as_json_dumps():
+    samples = np.array([math.inf, -math.inf, math.nan, 1.0])
+    prof = ProfileData(x=samples, values=samples + 0j, density=samples, meta={"n": 1})
+    assert prof.to_json() == json.dumps(prof.to_json_obj(), indent=2) + "\n"
+    assert "Infinity" in prof.to_json() and "NaN" in prof.to_json()
+
+
+def test_profile_csv_rows_are_nine_significant_digits():
+    for prof in writer_profiles():
+        lines = prof.to_csv().split("\n")
+        assert lines[1] == "x,re,im,density" and lines[-1] == ""
+        expected = [
+            ",".join(format(v, ".9g") for v in (xv, val.real, val.imag, dv))
+            for xv, val, dv in zip(prof.x, prof.values, prof.density)
+        ]
+        assert lines[2:-1] == expected
+    assert lines[0] == "# case=hand-built n=0 tau=-0 flag=true warning="

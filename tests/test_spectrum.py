@@ -191,3 +191,51 @@ def test_serialization_deterministic():
     table = spectrum_table(CurvatureCase.RATIONAL, ALPHAS, 5, 1.0, 1.0)
     assert table_to_csv(table) == table_to_csv(table)
     assert table_to_json(table) == table_to_json(table)
+
+
+# --- writers: byte for byte against the standard library ------------------------
+
+def _rows(table):
+    rows = []
+    for alpha, n, pair in table.rows:
+        em = pair.e_minus
+        rows.append(
+            {
+                "case": table.case.value,
+                "alpha": str(alpha),
+                "n": n,
+                "re_e_plus": pair.e_plus.real,
+                "im_e_plus": pair.e_plus.imag,
+                "re_e_minus": em.real if em is not None else None,
+                "im_e_minus": em.imag if em is not None else None,
+            }
+        )
+    return rows
+
+
+@pytest.mark.parametrize("case", list(CurvatureCase), ids=lambda c: c.value)
+def test_table_writers_equal_stdlib(case):
+    table = spectrum_table(case, ALPHAS, 5, 1.0, 1.0)
+    rows = _rows(table)
+    assert table_to_json(table) == json.dumps(rows, indent=2) + "\n"
+    csv_lines = table_to_csv(table).split("\n")
+    assert csv_lines[-1] == ""
+    for line, row in zip(csv_lines[1:-1], rows):
+        fields = [row["case"], row["alpha"], str(row["n"])]
+        fields += [
+            "" if row[key] is None else format(row[key], ".9g")
+            for key in ("re_e_plus", "im_e_plus", "re_e_minus", "im_e_minus")
+        ]
+        assert line == ",".join(fields)
+    assert len(csv_lines) == len(rows) + 2
+    if case is CurvatureCase.GAUSSIAN:
+        assert '"re_e_minus": null' in table_to_json(table)
+
+
+def test_table_json_non_finite_and_empty_equal_stdlib():
+    # an overflowing curvature gives infinite energies, which json.dumps spells Infinity
+    huge = spectrum_table(CurvatureCase.GAUSSIAN, [Fraction(1, 2)], 1, 1e308, 1.0)
+    assert table_to_json(huge) == json.dumps(_rows(huge), indent=2) + "\n"
+    assert "Infinity" in table_to_json(huge)
+    empty = spectrum_table(CurvatureCase.SINC, [], 1, 1.0, 1.0)
+    assert table_to_json(empty) == "[]\n"
