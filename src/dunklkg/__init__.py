@@ -24,6 +24,7 @@ from .coherent import (
 from .complexfn import (
     gamma,
     laguerre,
+    laguerre_rows,
     laguerre_sequence,
     log_gamma,
     principal_log,
@@ -33,6 +34,7 @@ from .complexfn import (
 from .eigenfunctions import (
     approximation_gap,
     eigenfunction_r,
+    eigenfunction_rows,
     eigenfunction_x,
     full_wavefunction_even,
     normalization,

@@ -200,12 +200,7 @@ def cmd_spectrum(case_name, alpha_text, n_spec, curvature, mass, fmt, config_pat
     R, m = _numeric(vals, "R"), _numeric(vals, "m")
     if not (0.0 <= R < math.inf and 0.0 < m < math.inf):
         raise click.UsageError(f"need finite R >= 0 and m > 0, got R={R}, m={m}")
-    table = spectrum_table(case, alphas, max(n_list), R, m)
-    wanted = set(n_list)
-    table = type(table)(
-        case=table.case, R=table.R, m=table.m,
-        rows=tuple(row for row in table.rows if row[1] in wanted),
-    )
+    table = spectrum_table(case, alphas, n_list, R, m)
     text = table_to_csv(table) if vals["format"] == "csv" else table_to_json(table)
     _emit(text, output)
 

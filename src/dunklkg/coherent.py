@@ -291,6 +291,8 @@ def _format_complex(z: complex) -> str:
 
 _SAMPLE_KEYS = ("x", "re", "im", "density")
 _CSV_ROW = ",".join([CSV_FLOAT] * len(_SAMPLE_KEYS)) + "\n"
+# rows formatted per ``%`` call: bounds the Python floats alive at once
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -299,7 +301,8 @@ class ProfileData:
 
     ``meta`` holds natively typed values; the CSV writer renders them
     (floats at 9 significant digits, booleans lowercase, None empty).
-    Both writers format the samples from whole arrays with one ``%`` call.
+    Both writers format the samples from whole arrays with ``%``: the JSON
+    writer in one call, the CSV writer one block of rows at a time.
     """
 
     x: np.ndarray
@@ -313,8 +316,11 @@ class ProfileData:
 
     def to_csv(self) -> str:
         table = self._table()
-        body = (_CSV_ROW * len(table)) % tuple(table.ravel().tolist())
-        return f"{csv_comment(self.meta)}\n{','.join(_SAMPLE_KEYS)}\n{body}"
+        parts = [f"{csv_comment(self.meta)}\n{','.join(_SAMPLE_KEYS)}\n"]
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            parts.append((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+        return "".join(parts)
 
     def to_json_obj(self) -> dict:
         obj = dict(self.meta)

@@ -31,6 +31,7 @@ __all__ = [
     "gamma",
     "log_gamma",
     "laguerre",
+    "laguerre_rows",
     "laguerre_sequence",
     "principal_log",
     "principal_pow",
@@ -142,21 +143,38 @@ def log_gamma(z: complex) -> complex:
     return _LOG_SQRT_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_series(zz))
 
 
-def laguerre_sequence(n_max: int, a: complex, z):
-    """All generalized Laguerre values L_0^a(z) .. L_nmax^a(z).
+def laguerre_rows(n_max: int, a: complex, z):
+    """Iterator over the generalized Laguerre values L_0^a(z) .. L_nmax^a(z).
 
-    Upward three-term recurrence, complex order and argument; ``z`` may be a
-    scalar or an ndarray.  Returns an array of shape (n_max + 1,) + shape(z).
+    The upward three-term recurrence, complex order and argument, keeping
+    only the last two rows; ``z`` may be a scalar or an ndarray and every
+    row has its shape.  The recurrence reads the rows it yielded, so a
+    caller must not modify them in place.  A negative order raises here,
+    at the call, not when the first row is asked for.
     """
     if n_max < 0:
         raise DomainError("laguerre order must be non-negative")
-    z_arr = np.asarray(z, dtype=complex)
-    out = np.empty((n_max + 1,) + z_arr.shape, dtype=complex)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 1.0 + a - z_arr
+    return _laguerre_recurrence(n_max, a, np.asarray(z, dtype=complex))
+
+
+def _laguerre_recurrence(n_max: int, a: complex, z: np.ndarray):
+    prev = np.ones(z.shape, dtype=complex)
+    yield prev
+    if n_max == 0:
+        return
+    row = 1.0 + a - z
+    yield row
     for n in range(1, n_max):
-        out[n + 1] = ((2 * n + 1 + a - z_arr) * out[n] - (n + a) * out[n - 1]) / (n + 1)
+        prev, row = row, ((2 * n + 1 + a - z) * row - (n + a) * prev) / (n + 1)
+        yield row
+
+
+def laguerre_sequence(n_max: int, a: complex, z):
+    """All of ``laguerre_rows(n_max, a, z)`` as one array of shape (n_max + 1,) + shape(z)."""
+    rows = laguerre_rows(n_max, a, z)
+    out = np.empty((n_max + 1,) + np.shape(z), dtype=complex)
+    for n, row in enumerate(rows):
+        out[n] = row
     return out
 
 

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .complexfn import laguerre_sequence, log_gamma, principal_log
+from .complexfn import laguerre_rows, log_gamma, principal_log
 from .errors import DegenerateError, DomainError, GridError
 from .gridops import positive_grid, second_derivative_4th
 from .model import AlphaLike, bargmann_index, radial_coupling, sigma_index
@@ -41,10 +41,12 @@ from .model import AlphaLike, bargmann_index, radial_coupling, sigma_index
 __all__ = [
     "approximation_gap",
     "eigenfunction_r",
+    "eigenfunction_rows",
     "eigenfunction_x",
     "full_wavefunction_even",
     "normalization",
     "ode_residual",
+    "ode_row_residual",
     "radial_envelope",
 ]
 
@@ -81,19 +83,30 @@ def radial_envelope(alpha: AlphaLike, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def eigenfunction_rows(n_max: int, alpha: AlphaLike, r):
+    """Iterator over F_0(r) .. F_nmax(r) on one ndarray ``r`` (real or complex).
+
+    One ``radial_envelope`` and one Laguerre recurrence pass serve every n;
+    only the last two Laguerre rows are kept, never the whole table.
+    """
+    r_arr = np.asarray(r, dtype=complex)
+    lag_rows = laguerre_rows(n_max, 2.0 * sigma_index(alpha), 1j * r_arr)
+    envelope = radial_envelope(alpha, r_arr)
+    return (envelope * lag for lag in lag_rows)
+
+
 def eigenfunction_r(n: int, alpha: AlphaLike, r):
     """Unnormalized F_n(r) = r^(sigma+1/2) e^(-ir/2) L_n^(2 sigma)(i r).
 
     ``r`` may be a scalar or ndarray, real non-negative or complex (the
-    x-form feeds complex r = Lambda x^2).  F(0) = 0.
+    x-form feeds complex r = Lambda x^2).  F(0) = 0.  The value is the
+    last row of ``eigenfunction_rows(n, alpha, r)``.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
-    scalar = np.ndim(r) == 0
-    r_arr = np.atleast_1d(np.asarray(r, dtype=complex))
-    lag = laguerre_sequence(n, 2.0 * sigma_index(alpha), 1j * r_arr)[n]
-    out = radial_envelope(alpha, r_arr) * lag
-    if scalar:
+    for out in eigenfunction_rows(n, alpha, np.atleast_1d(r)):
+        pass
+    if np.ndim(r) == 0:
         return complex(out[0])
     return out
 
@@ -128,9 +141,16 @@ def ode_residual(
     if r_min <= 0:
         raise DomainError("grid must exclude r = 0")
     r = positive_grid(r_min, r_max, h)
+    return ode_row_residual(n, alpha, r, h, eigenfunction_r(n, alpha, r), eigenvalue_shift)
+
+
+def ode_row_residual(
+    n: int, alpha: AlphaLike, r: np.ndarray, h: float, f: np.ndarray,
+    eigenvalue_shift: complex = 0.0,
+) -> float:
+    """``ode_residual`` of given samples ``f`` of F_n on the positive grid ``r`` (spacing h)."""
     if r.size < 9:
         raise GridError("need at least 9 grid points")
-    f = eigenfunction_r(n, alpha, r)
     d2 = second_derivative_4th(f, h)
     k = bargmann_index(alpha) + complex(eigenvalue_shift)
     c = radial_coupling(alpha)

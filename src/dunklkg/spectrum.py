@@ -28,7 +28,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from numbers import Integral
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from .complexfn import principal_sqrt
 from .errors import DomainError
@@ -213,19 +214,25 @@ class SpectrumTable:
 def spectrum_table(
     case: CurvatureCase,
     alphas: Sequence[AlphaLike],
-    n_max: int,
+    n_values: Union[int, Iterable[int]],
     R: float,
     m: float,
 ) -> SpectrumTable:
-    """Full (alpha, n) table, rows sorted by (alpha, n), duplicates dropped."""
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    uniq = sorted({Fraction(a) for a in alphas})
-    rows: List[Tuple[Fraction, int, EnergyPair]] = []
-    for a in uniq:
-        for n in range(n_max + 1):
-            rows.append((a, n, energy_pair(case, n, a, R, m)))
-    return SpectrumTable(case=case, R=R, m=m, rows=tuple(rows))
+    """Rows for the requested (alpha, n), sorted by (alpha, n), duplicates dropped.
+
+    ``n_values`` lists the quantum numbers; an int n_max stands for 0..n_max.
+    """
+    if isinstance(n_values, Integral):
+        if n_values < 0:
+            raise DomainError("n_max must be >= 0")
+        n_values = range(n_values + 1)
+    ns = sorted(set(n_values))
+    rows = tuple(
+        (a, n, energy_pair(case, n, a, R, m))
+        for a in sorted({Fraction(a) for a in alphas})
+        for n in ns
+    )
+    return SpectrumTable(case=case, R=R, m=m, rows=rows)
 
 
 # --- text writers ------------------------------------------------------------

@@ -41,7 +41,12 @@ from .coherent import (
     coherent_series,
     density_profile,
 )
-from .eigenfunctions import eigenfunction_r, eigenfunction_x, ode_residual
+from .eigenfunctions import (
+    eigenfunction_r,
+    eigenfunction_rows,
+    eigenfunction_x,
+    ode_row_residual,
+)
 from .errors import DomainError
 from .gridops import (
     GridFunction,
@@ -63,7 +68,7 @@ from .spectrum import energy_pair, relation_rhs, self_consistency_residual
 __all__ = ["run_verification", "report_to_json", "z3_eigenvalue_residual"]
 
 SWEEP_ALPHAS = (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2))
-SWEEP_N = range(6)
+SWEEP_N = range(6)  # from 0 and contiguous: the grid sweeps enumerate one F_n stream
 SERIES_XIS = (0.3 + 0.0j, 0.5 + 0.2j, 0.1 - 0.6j)
 # coherent-state checks run on the gaussian spectrum at R = m = 1
 GAUSSIAN = CurvatureCase.GAUSSIAN
@@ -87,7 +92,11 @@ def z3_eigenvalue_residual(
 ) -> float:
     """sup |Z3 F_n - (k+n) F_n| / sup |F_n| on the standard positive grid."""
     r = positive_grid(r_min, r_max, h)
-    f = eigenfunction_r(n, alpha, r)
+    return z3_row_residual(n, alpha, r, h, eigenfunction_r(n, alpha, r))
+
+
+def z3_row_residual(n: int, alpha, r: np.ndarray, h: float, f: np.ndarray) -> float:
+    """``z3_eigenvalue_residual`` of given samples ``f`` of F_n on the positive grid ``r``."""
     gf = GridFunction(r, f, h, "positive")
     k = bargmann_index(alpha)
     res = z3_apply(gf, alpha).values - (k + n) * f
@@ -152,39 +161,46 @@ def check_self_consistency() -> Dict:
     return _check("self_consistency", worst, 1e-8)
 
 
-def _sweep_max(fn: Callable[[int, Fraction], float]) -> float:
-    return max(fn(n, alpha) for alpha in SWEEP_ALPHAS for n in SWEEP_N)
+# a row residual maps (n, alpha, r, h, F_n samples on r) to one residual
+RowResidual = Callable[[int, Fraction, np.ndarray, float, np.ndarray], float]
 
 
-def _residual_bound(name: str, residual: Callable[..., float], h: float, tolerance: float) -> Dict:
-    worst = _sweep_max(lambda n, a: residual(n, a, R_MIN, R_MAX, h))
-    return _check(name, worst, tolerance, h=h)
+def _sweep_max(row_residual: RowResidual, h: float) -> float:
+    """Worst residual of the alpha x n sweep on one grid, one F_n stream per alpha."""
+    r = positive_grid(R_MIN, R_MAX, h)
+    return max(
+        row_residual(n, alpha, r, h, f)
+        for alpha in SWEEP_ALPHAS
+        for n, f in enumerate(eigenfunction_rows(max(SWEEP_N), alpha, r))
+    )
 
 
-def _residual_convergence(
-    name: str, residual: Callable[..., float], h: float, h_min: float
-) -> Dict:
+def _residual_bound(name: str, row_residual: RowResidual, h: float, tolerance: float) -> Dict:
+    return _check(name, _sweep_max(row_residual, h), tolerance, h=h)
+
+
+def _residual_convergence(name: str, row_residual: RowResidual, h: float, h_min: float) -> Dict:
     """Shrink factor of the sweep's worst residual from 2h to h, with h >= h_min."""
     h_fine = max(h, h_min)
-    coarse = _sweep_max(lambda n, a: residual(n, a, R_MIN, R_MAX, 2.0 * h_fine))
-    fine = _sweep_max(lambda n, a: residual(n, a, R_MIN, R_MAX, h_fine))
+    coarse = _sweep_max(row_residual, 2.0 * h_fine)
+    fine = _sweep_max(row_residual, h_fine)
     return _check(name, coarse / fine, 8.0, "min", h_coarse=2.0 * h_fine, h_fine=h_fine)
 
 
 def check_ode_residual(h: float) -> Dict:
-    return _residual_bound("ode_residual", ode_residual, h, 1e-5)
+    return _residual_bound("ode_residual", ode_row_residual, h, 1e-5)
 
 
 def check_ode_convergence(h: float) -> Dict:
-    return _residual_convergence("ode_convergence", ode_residual, h, ODE_CONV_H)
+    return _residual_convergence("ode_convergence", ode_row_residual, h, ODE_CONV_H)
 
 
 def check_z3_eigenvalue(h: float) -> Dict:
-    return _residual_bound("z3_eigenvalue", z3_eigenvalue_residual, h, 1e-4)
+    return _residual_bound("z3_eigenvalue", z3_row_residual, h, 1e-4)
 
 
 def check_z3_convergence(h: float) -> Dict:
-    return _residual_convergence("z3_convergence", z3_eigenvalue_residual, h, Z3_CONV_H)
+    return _residual_convergence("z3_convergence", z3_row_residual, h, Z3_CONV_H)
 
 
 def check_series_agreement() -> Dict:
@@ -239,11 +255,9 @@ def check_tau_periodicity() -> Dict:
 
 def check_laguerre_recurrence() -> Dict:
     seed, samples = 977101, 200
-    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).uniform(-10, 10, size=(samples, 4))
     worst = 0.0
-    for _ in range(samples):
-        a = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        z = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+    for a, z in draws.view(complex).tolist():
         seq = complexfn.laguerre_sequence(31, a, z)
         for n in range(1, 30):
             lhs = (n + 1) * seq[n + 1] - (2 * n + 1 + a - z) * seq[n] + (n + a) * seq[n - 1]
@@ -253,10 +267,9 @@ def check_laguerre_recurrence() -> Dict:
 
 def check_gamma_recurrence() -> Dict:
     seed, samples = 515253, 500
-    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).uniform((0.5, -49.0), (19.0, 49.0), size=(samples, 2))
     worst = 0.0
-    for _ in range(samples):
-        z = complex(rng.uniform(0.5, 19.0), rng.uniform(-49.0, 49.0))
+    for z in draws.view(complex).ravel().tolist():
         g1 = complexfn.gamma(z + 1.0)
         worst = max(worst, abs(g1 - z * complexfn.gamma(z)) / abs(g1))
     return _check("gamma_recurrence", worst, 1e-11, seed=seed, samples=samples)
@@ -276,10 +289,9 @@ def check_gamma_reflection() -> Dict:
 
 def check_sqrt_roundtrip() -> Dict:
     seed, samples = 717273, 10000
-    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).uniform(-50, 50, size=(samples, 2))
     worst = 0.0
-    for _ in range(samples):
-        z = complex(rng.uniform(-50, 50), rng.uniform(-50, 50))
+    for z in draws.view(complex).ravel().tolist():
         if z == 0:
             continue
         root = complexfn.principal_sqrt(z)
@@ -289,10 +301,9 @@ def check_sqrt_roundtrip() -> Dict:
 
 def check_pow_identities() -> Dict:
     seed, samples = 818283, 2000
-    rng = np.random.default_rng(seed)
+    draws = np.random.default_rng(seed).uniform(-20, 20, size=(samples, 2))
     worst = 0.0
-    for _ in range(samples):
-        z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
+    for z in draws.view(complex).ravel().tolist():
         if z == 0:
             continue
         worst = max(worst, abs(complexfn.principal_pow(z, 1.0) - z) / abs(z))
@@ -305,8 +316,10 @@ def check_pow_identities() -> Dict:
 # ---------------------------------------------------------------------------
 
 def _operator_set(alpha, h: float = 0.002):
+    """The grid, F_0 .. F_2 from one pass, F_0 as a GridFunction, and Z3, D+, D-."""
     r = positive_grid(R_MIN, R_MAX, h)
-    base = GridFunction(r, eigenfunction_r(0, alpha, r), h, "positive")
+    f = list(eigenfunction_rows(2, alpha, r))
+    base = GridFunction(r, f[0], h, "positive")
 
     def z3(gf):
         return z3_apply(gf, alpha)
@@ -317,7 +330,7 @@ def _operator_set(alpha, h: float = 0.002):
     def dminus(gf):
         return ladder_apply(-1, gf, alpha)
 
-    return r, base, z3, dplus, dminus
+    return r, f, base, z3, dplus, dminus
 
 
 def diagnostics_commutators(alpha=Fraction(1, 2)) -> List[Dict]:
@@ -329,10 +342,8 @@ def diagnostics_commutators(alpha=Fraction(1, 2)) -> List[Dict]:
     samples per edge, where the composed stencils are clean) relative to
     sup of the measured commutator.
     """
-    r, base, z3, dplus, dminus = _operator_set(alpha)
-    mixture = base.with_values(
-        base.values + eigenfunction_r(1, alpha, r) + eigenfunction_r(2, alpha, r)
-    )
+    r, f, base, z3, dplus, dminus = _operator_set(alpha)
+    mixture = base.with_values(f[0] + f[1] + f[2])
     sl = slice(8, -8)
 
     def rel(measured, reference):
@@ -367,11 +378,9 @@ def diagnostics_commutators(alpha=Fraction(1, 2)) -> List[Dict]:
 
 def diagnostics_ladder(alpha=Fraction(1, 2)) -> List[Dict]:
     """Least-squares projection residual of D+- F_0 onto span{F_0, F_1}."""
-    r, base, _z3, dplus, dminus = _operator_set(alpha)
+    _r, f, base, _z3, dplus, dminus = _operator_set(alpha)
     sl = slice(8, -8)
-    f0 = base.values[sl]
-    f1 = eigenfunction_r(1, alpha, r)[sl]
-    basis = np.stack([f0, f1], axis=1)
+    basis = np.stack([f[0][sl], f[1][sl]], axis=1)
     out = []
     for name, op in (("plus", dplus), ("minus", dminus)):
         y = op(base).values[sl]

@@ -51,6 +51,26 @@ def test_spectrum_sinc_alpha_seven_halves(runner):
     assert rows[0]["im_e_minus"] == pytest.approx(-1.119, abs=1e-2)
 
 
+def test_spectrum_computes_only_the_requested_n(runner, monkeypatch):
+    from dunklkg import spectrum
+
+    calls = []
+    energy_pair = spectrum.energy_pair
+
+    def counted(case, n, alpha, R, m):
+        calls.append((alpha, n))
+        return energy_pair(case, n, alpha, R, m)
+
+    monkeypatch.setattr(spectrum, "energy_pair", counted)
+    res = invoke(runner, ["spectrum", "--case", "gaussian", "--alpha", "1/2,3/2", "--n", "40"])
+    assert res.exit_code == 0
+    assert calls == [(Fraction(1, 2), 40), (Fraction(3, 2), 40)]
+    calls.clear()
+    res = invoke(runner, ["spectrum", "--alpha", "1/2", "--n", "5,0,5"])
+    assert [line.split(",")[2] for line in res.output.splitlines()[1:]] == ["0", "5"]
+    assert calls == [(Fraction(1, 2), 0), (Fraction(1, 2), 5)]
+
+
 def test_spectrum_rejects_float_alpha(runner):
     res = runner.invoke(cli, ["spectrum", "--alpha", "0.5", "--n", "0"])
     assert res.exit_code == 2

@@ -26,6 +26,7 @@ from dunklkg import (
     profiles_to_json,
     suggested_series_terms,
 )
+from dunklkg.coherent import _CSV_BLOCK_ROWS
 
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
 XIS = [0.3 + 0.0j, 0.5 + 0.2j, 0.1 - 0.6j]
@@ -279,3 +280,15 @@ def test_profile_csv_rows_are_nine_significant_digits():
         ]
         assert lines[2:-1] == expected
     assert lines[0] == "# case=hand-built n=0 tau=-0 flag=true warning="
+
+
+def test_profile_csv_blocks_join_into_one_body():
+    # two whole formatting blocks and a partial third
+    points = 2 * _CSV_BLOCK_ROWS + 3
+    prof = build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.5 + 0.2j, points=points)
+    lines = prof.to_csv().split("\n")
+    expected = [
+        ",".join(format(v, ".9g") for v in (xv, val.real, val.imag, dv))
+        for xv, val, dv in zip(prof.x, prof.values, prof.density)
+    ]
+    assert lines[2:-1] == expected and lines[-1] == ""

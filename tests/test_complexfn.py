@@ -13,6 +13,7 @@ from dunklkg import (
     PoleError,
     gamma,
     laguerre,
+    laguerre_rows,
     laguerre_sequence,
     log_gamma,
     principal_pow,
@@ -185,3 +186,12 @@ def test_laguerre_vectorized_matches_scalar():
     vec = laguerre(5, 0.5 + 0.1j, z)
     for i, zi in enumerate(z):
         assert vec[i] == pytest.approx(laguerre(5, 0.5 + 0.1j, complex(zi)), rel=1e-14)
+
+
+def test_laguerre_rows_stream_the_sequence():
+    z = np.array([0.1 + 0.2j, -1.0, 3.0 - 4.0j])
+    rows = list(laguerre_rows(7, 0.5 + 0.1j, z))
+    assert np.array_equal(np.array(rows), laguerre_sequence(7, 0.5 + 0.1j, z))
+    assert len({id(row) for row in rows}) == len(rows)  # each row its own array
+    with pytest.raises(DomainError):
+        laguerre_rows(-1, 0.5, z)  # at the call, before any row is asked for

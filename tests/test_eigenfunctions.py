@@ -15,14 +15,18 @@ from dunklkg import (
     DomainError,
     approximation_gap,
     eigenfunction_r,
+    eigenfunction_rows,
     eigenfunction_x,
     energy_squared_case1,
     full_wavefunction_even,
+    laguerre_sequence,
     normalization,
     ode_residual,
+    positive_grid,
     scale_factor,
     sigma_index,
 )
+from dunklkg.eigenfunctions import radial_envelope
 
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
 CASE_BRANCHES = [
@@ -94,6 +98,21 @@ def test_x_equals_normalized_r_composition():
             lhs = eigenfunction_x(n, alpha, lam, x)
             rhs = normalization(n, alpha, lam) * eigenfunction_r(n, alpha, lam * x**2)
             assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 1e-10
+
+
+def test_streamed_rows_equal_eigenfunction_r():
+    # one envelope and one recurrence pass give every F_n bit for bit, on the
+    # real sweep grid and on a complex Lambda x^2 array
+    x = np.linspace(0.01, 2.0, 50)
+    for alpha in ALPHAS:
+        for r in (positive_grid(0.1, 20.0, 0.01), case1_lambda(1, alpha) * x**2):
+            rows = list(eigenfunction_rows(5, alpha, r))
+            assert len(rows) == 6
+            table = laguerre_sequence(5, 2.0 * sigma_index(alpha), 1j * r)
+            envelope = radial_envelope(alpha, r.astype(complex))
+            for n, row in enumerate(rows):
+                assert np.array_equal(row, eigenfunction_r(n, alpha, r))
+                assert np.array_equal(row, envelope * table[n])
 
 
 def test_even_factorization():
