@@ -23,7 +23,6 @@ from .coherent import (
 )
 from .complexfn import (
     gamma,
-    laguerre,
     laguerre_rows,
     laguerre_sequence,
     log_gamma,
@@ -32,11 +31,9 @@ from .complexfn import (
     principal_sqrt,
 )
 from .eigenfunctions import (
-    approximation_gap,
     eigenfunction_r,
     eigenfunction_rows,
     eigenfunction_x,
-    full_wavefunction_even,
     normalization,
     ode_residual,
 )
@@ -47,7 +44,6 @@ from .errors import (
     GridError,
     NormalizationError,
     PoleError,
-    UnsupportedParity,
 )
 from .gridops import (
     GridFunction,
@@ -56,21 +52,17 @@ from .gridops import (
     dunkl_apply,
     ladder_apply,
     positive_grid,
-    sample_positive,
-    sample_symmetric,
     second_derivative_4th,
     symmetric_grid,
     z3_apply,
 )
 from .model import (
     CurvatureCase,
-    Parity,
     PhysParams,
     bargmann_index,
     casimir_eigenvalue,
     parse_alpha,
     parse_complex,
-    profile_a,
     radial_coupling,
     scale_factor,
     sigma_index,
@@ -80,10 +72,6 @@ from .spectrum import (
     EnergyPair,
     SpectrumTable,
     energy_pair,
-    energy_pair_case1,
-    energy_pair_case2,
-    energy_pair_case3,
-    energy_squared_case1,
     self_consistency_residual,
     spectrum_table,
     table_to_csv,

@@ -30,7 +30,6 @@ from .errors import DomainError, PoleError
 __all__ = [
     "gamma",
     "log_gamma",
-    "laguerre",
     "laguerre_rows",
     "laguerre_sequence",
     "principal_log",
@@ -170,25 +169,17 @@ def _laguerre_recurrence(n_max: int, a: complex, z: np.ndarray):
 
 
 def laguerre_sequence(n_max: int, a: complex, z):
-    """All of ``laguerre_rows(n_max, a, z)`` as one array of shape (n_max + 1,) + shape(z)."""
+    """All of ``laguerre_rows(n_max, a, z)`` as one array of shape (n_max + 1,) + shape(z).
+
+    Row n is the generalized Laguerre polynomial L_n^a(z).  Accuracy
+    envelope: the forward recurrence tracks the dominant solution, so
+    relative error stays near machine precision for the n <= 30 range the
+    public checks exercise; it degrades only slowly beyond (the
+    coherent-state series runs the same recurrence up to n = 599 and
+    cross-validates the result).
+    """
     rows = laguerre_rows(n_max, a, z)
     out = np.empty((n_max + 1,) + np.shape(z), dtype=complex)
     for n, row in enumerate(rows):
         out[n] = row
     return out
-
-
-def laguerre(n: int, a: complex, z):
-    """Generalized Laguerre polynomial L_n^a(z) by upward recurrence.
-
-    Accuracy envelope: the forward recurrence tracks the dominant solution,
-    so relative error stays near machine precision for the n <= 30 range the
-    public checks exercise; it degrades only slowly beyond (the coherent-state
-    series runs the same recurrence up to n = 599 and cross-validates the
-    result).
-    """
-    seq = laguerre_sequence(n, a, z)
-    value = seq[n]
-    if np.ndim(z) == 0:
-        return complex(value)
-    return value

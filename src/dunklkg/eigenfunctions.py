@@ -39,11 +39,9 @@ from .gridops import positive_grid, second_derivative_4th
 from .model import AlphaLike, bargmann_index, radial_coupling, sigma_index
 
 __all__ = [
-    "approximation_gap",
     "eigenfunction_r",
     "eigenfunction_rows",
     "eigenfunction_x",
-    "full_wavefunction_even",
     "normalization",
     "ode_residual",
     "ode_row_residual",
@@ -126,7 +124,6 @@ def ode_residual(
     r_min: float = 0.1,
     r_max: float = 20.0,
     h: float = 1e-3,
-    eigenvalue_shift: complex = 0.0,
 ) -> float:
     """Max relative residual of the reduced radial equation on a grid.
 
@@ -134,79 +131,20 @@ def ode_residual(
     4th-order central second difference; the two samples nearest each edge
     (where a central stencil does not exist) are dropped.  Returns
     max |lhs - rhs| / max |F| over the interior.
-
-    ``eigenvalue_shift`` perturbs the eigenvalue k + n; any nonzero shift
-    must drive the residual up (a non-eigenfunction check).
     """
     if r_min <= 0:
         raise DomainError("grid must exclude r = 0")
     r = positive_grid(r_min, r_max, h)
-    return ode_row_residual(n, alpha, r, h, eigenfunction_r(n, alpha, r), eigenvalue_shift)
+    return ode_row_residual(n, alpha, r, h, eigenfunction_r(n, alpha, r))
 
 
-def ode_row_residual(
-    n: int, alpha: AlphaLike, r: np.ndarray, h: float, f: np.ndarray,
-    eigenvalue_shift: complex = 0.0,
-) -> float:
+def ode_row_residual(n: int, alpha: AlphaLike, r: np.ndarray, h: float, f: np.ndarray) -> float:
     """``ode_residual`` of given samples ``f`` of F_n on the positive grid ``r`` (spacing h)."""
     if r.size < 9:
         raise GridError("need at least 9 grid points")
     d2 = second_derivative_4th(f, h)
-    k = bargmann_index(alpha) + complex(eigenvalue_shift)
+    k = bargmann_index(alpha)
     c = radial_coupling(alpha)
     lhs = -(r**2) * d2 - 1j * (k + n) * r * f - 0.25 * r**2 * f
     res = np.abs(lhs - c * f)[2:-2]
     return float(np.max(res) / np.max(np.abs(f)))
-
-
-def approximation_gap(x: float, alpha: AlphaLike, R: float, e2_minus_m2: complex) -> float:
-    """|exact - approximate| potential for the gaussian profile at one x.
-
-    Exact:       (E^2 - m^2) e^(2 R x^2) - R^2 x^2 + R
-    Approximate: Lambda^2 x^2 + (E^2 - m^2),  Lambda^2 = 2 R (E^2 - m^2)
-
-    The deformation term 2 alpha / x^2 is common to both forms and drops
-    out; alpha is accepted for interface symmetry only.  At x = 0 the gap
-    is exactly R (the dropped constant); for large x it grows like
-    2 R^2 x^4 |E^2 - m^2|.
-    """
-    if R <= 0:
-        raise DomainError("R must be positive")
-    u = complex(e2_minus_m2)
-    x2 = x * x
-    exact = u * cmath.exp(2.0 * R * x2) - R * R * x2 + R
-    approx = 2.0 * R * u * x2 + u
-    return abs(exact - approx)
-
-
-def full_wavefunction_even(
-    t: float,
-    x: float,
-    alpha: AlphaLike,
-    R: float,
-    energy: complex,
-    chi_value: complex,
-) -> complex:
-    """Even-parity wavefunction psi_+(t, x) assembled from a chi_+ sample.
-
-    psi_+ = (|x| sqrt(R))^(-alpha) exp( i E (x sqrt(R))^(2 alpha + 1)
-            / (sqrt(R) (2 alpha + 1)) - i E t ) chi_+(x).
-
-    For half-odd alpha the exponent power 2 alpha + 1 is an even integer,
-    so no branch choice arises for x < 0.
-    """
-    if x == 0:
-        raise DomainError("psi_+ has a power-law singularity at x = 0")
-    if R <= 0:
-        raise DomainError("R must be positive")
-    a = float(alpha)
-    sqrt_r = math.sqrt(R)
-    power = 2.0 * a + 1.0
-    power_int = round(power)
-    if abs(power - power_int) < 1e-12:
-        xs = (x * sqrt_r) ** int(power_int)  # exact integer power
-    else:
-        xs = (x * sqrt_r) ** power
-    prefactor = (abs(x) * sqrt_r) ** (-a)
-    phase = cmath.exp(1j * complex(energy) * xs / (sqrt_r * power) - 1j * complex(energy) * t)
-    return prefactor * phase * complex(chi_value)

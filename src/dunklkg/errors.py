@@ -23,7 +23,3 @@ class GridError(DunklKGError):
 
 class NormalizationError(DunklKGError):
     """Density normalization impossible (vanishing or non-finite integral)."""
-
-
-class UnsupportedParity(DunklKGError):
-    """Odd-parity sector requested; only the even sector is implemented."""

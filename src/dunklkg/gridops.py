@@ -15,7 +15,7 @@ D f = f' + (alpha/x)(1 - P) f with P the parity operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +29,6 @@ __all__ = [
     "dunkl_apply",
     "ladder_apply",
     "positive_grid",
-    "sample_positive",
-    "sample_symmetric",
     "second_derivative_4th",
     "symmetric_grid",
     "z3_apply",
@@ -97,16 +95,6 @@ def positive_grid(r_min: float, r_max: float, h: float) -> np.ndarray:
     return r_min + h * np.arange(n + 1)
 
 
-def sample_symmetric(f: Callable, h: float, n_per_side: int) -> GridFunction:
-    pts = symmetric_grid(h, n_per_side)
-    return GridFunction(pts, np.asarray(f(pts), dtype=complex), h, SYMMETRIC)
-
-
-def sample_positive(f: Callable, r_min: float, r_max: float, h: float) -> GridFunction:
-    pts = positive_grid(r_min, r_max, h)
-    return GridFunction(pts, np.asarray(f(pts), dtype=complex), h, POSITIVE)
-
-
 # 4th-order rows: interior central, plus shifted rows for the two points at
 # each edge (offsets noted).  Second-derivative edge rows use 6 points.
 _D1_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0  # offsets 0..4
@@ -170,18 +158,15 @@ def z3_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     return gf.with_values(1j * (r * d2 + c * gf.values / r + 0.25 * r * gf.values))
 
 
-def ladder_apply(sign: Union[int, str], gf: GridFunction, alpha: AlphaLike) -> GridFunction:
+def ladder_apply(sign: int, gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     """Ladder operator D_+- f = -+ r f' + (i/2) r f + Z3 f.
 
-    ``sign`` is +1/-1 (or '+'/'-') selecting D_plus / D_minus.
+    ``sign`` is +1/-1 selecting D_plus / D_minus.
     """
     _require(gf, POSITIVE, "ladder_apply")
-    if sign in (1, "+", "plus"):
-        s = -1.0  # D_plus carries -r d/dr
-    elif sign in (-1, "-", "minus"):
-        s = 1.0
-    else:
+    if sign not in (1, -1):
         raise GridError(f"ladder sign must be +1 or -1, got {sign!r}")
+    s = -float(sign)  # D_plus carries -r d/dr
     r = gf.points
     d1 = derivative_4th(gf.values, gf.h)
     z3 = z3_apply(gf, alpha).values

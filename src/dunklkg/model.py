@@ -3,8 +3,7 @@
 Units: hbar = c = 1.  The deformation parameter alpha is structurally
 restricted to half-odd integers (2j+1)/2 and is carried as an exact
 Fraction so that validation never depends on float rounding.  Only the
-even-parity sector is implemented; requesting the odd sector raises
-UnsupportedParity.
+even-parity sector is implemented.
 
 The symbol mu that appears alongside alpha in the reduced radial equation
 is treated as identical to alpha throughout.
@@ -19,20 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 from .complexfn import principal_sqrt
-from .errors import DegenerateError, DomainError, UnsupportedParity
+from .errors import DegenerateError, DomainError
 
 __all__ = [
     "CurvatureCase",
-    "Parity",
     "PhysParams",
     "bargmann_index",
     "casimir_eigenvalue",
     "parse_alpha",
     "parse_complex",
-    "profile_a",
     "radial_coupling",
     "scale_factor",
     "sigma_index",
@@ -41,11 +36,6 @@ __all__ = [
 AlphaLike = Union[Fraction, int, float]
 
 DEGENERATE_TOL = 1e-14
-
-
-class Parity(enum.Enum):
-    EVEN = 1
-    ODD = 0
 
 
 class CurvatureCase(enum.Enum):
@@ -103,16 +93,13 @@ def parse_complex(text: str) -> complex:
 
 @dataclass(frozen=True)
 class PhysParams:
-    """The physical input triple (alpha, R, m) plus the parity flag."""
+    """The physical input triple (alpha, R, m)."""
 
     alpha: Fraction
     R: float
     m: float
-    parity: Parity = Parity.EVEN
 
     def __post_init__(self):
-        if self.parity is not Parity.EVEN:
-            raise UnsupportedParity("only the even-parity sector is implemented")
         object.__setattr__(self, "alpha", _validate_alpha(self.alpha))
         if not (0.0 < self.R < math.inf):
             raise DomainError(f"curvature constant R must be positive and finite, got {self.R}")
@@ -142,28 +129,6 @@ def radial_coupling(alpha: AlphaLike) -> float:
 def casimir_eigenvalue(alpha: AlphaLike) -> complex:
     """Quadratic Casimir eigenvalue k(k-1) = -(alpha/2 + 3/16)."""
     return complex(-radial_coupling(alpha))
-
-
-def profile_a(case: CurvatureCase, x, R: float):
-    """Evaluate the curvature profile a(x); a(0) = 1 for every case.
-
-    Accepts scalar or ndarray x.  The removable singularity of the sinc
-    profile at x = 0 takes its limit value 1.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if case is CurvatureCase.GAUSSIAN:
-        out = np.exp(-R * x_arr**2)
-    elif case is CurvatureCase.RATIONAL:
-        out = (1.0 - R * x_arr**2) / (1.0 + R * x_arr**2)
-    elif case is CurvatureCase.SINC:
-        t = x_arr * math.sqrt(R)
-        # np.sinc(u) = sin(pi u)/(pi u), so sin(t)/t = sinc(t/pi).
-        out = np.sinc(t / np.pi)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown case {case}")
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 _SCALE_PREFACTOR = {

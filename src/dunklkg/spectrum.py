@@ -44,10 +44,6 @@ __all__ = [
     "EnergyPair",
     "SpectrumTable",
     "energy_pair",
-    "energy_pair_case1",
-    "energy_pair_case2",
-    "energy_pair_case3",
-    "energy_squared_case1",
     "relation_rhs",
     "self_consistency_residual",
     "spectrum_table",
@@ -85,14 +81,10 @@ def _inner_s(alpha: AlphaLike) -> float:
     return (2.0 * a - 0.25) ** 0.5
 
 
-def energy_squared_case1(n: int, alpha: AlphaLike, R: float, m: float) -> complex:
+def _gaussian_pair(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
     """Gaussian-profile spectrum E_n^2 = m^2 - 8R (2n + 1 + i sqrt(2a - 1/4))^2."""
     s = _inner_s(alpha)
-    return m * m - 8.0 * R * (2 * n + 1 + 1j * s) ** 2
-
-
-def energy_pair_case1(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
-    e2 = energy_squared_case1(n, alpha, R, m)
+    e2 = m * m - 8.0 * R * (2 * n + 1 + 1j * s) ** 2
     return EnergyPair(n=n, e2_plus=e2, e_plus=principal_sqrt(e2))
 
 
@@ -102,7 +94,7 @@ def _bracket(n: int, alpha: AlphaLike) -> complex:
     return q * q + 1.0
 
 
-def energy_pair_case2(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
+def _rational_pair(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
     """Rational-profile spectrum; E_+ is the fast-decaying branch everywhere.
 
     The inner root is taken asymptotic to the bracket (see module docstring)
@@ -121,7 +113,7 @@ def energy_pair_case2(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPai
     )
 
 
-def energy_pair_case3(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
+def _sinc_pair(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
     """Sinc-profile spectrum; labels follow the formula with a principal root."""
     b = _bracket(n, alpha)
     root = principal_sqrt(b * b - 1.0)
@@ -137,9 +129,9 @@ def energy_pair_case3(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPai
 
 
 _CASE_DISPATCH = {
-    CurvatureCase.GAUSSIAN: energy_pair_case1,
-    CurvatureCase.RATIONAL: energy_pair_case2,
-    CurvatureCase.SINC: energy_pair_case3,
+    CurvatureCase.GAUSSIAN: _gaussian_pair,
+    CurvatureCase.RATIONAL: _rational_pair,
+    CurvatureCase.SINC: _sinc_pair,
 }
 
 

@@ -1,5 +1,4 @@
-"""Radial eigenfunctions: frozen values, x/r consistency, ODE residuals,
-approximation gap, and the full even-parity wavefunction."""
+"""Radial eigenfunctions: frozen values, x/r consistency and ODE residuals."""
 
 import cmath
 import math
@@ -13,12 +12,10 @@ from dunklkg import (
     CurvatureCase,
     DegenerateError,
     DomainError,
-    approximation_gap,
     eigenfunction_r,
     eigenfunction_rows,
     eigenfunction_x,
-    energy_squared_case1,
-    full_wavefunction_even,
+    energy_pair,
     laguerre_sequence,
     normalization,
     ode_residual,
@@ -26,7 +23,7 @@ from dunklkg import (
     scale_factor,
     sigma_index,
 )
-from dunklkg.eigenfunctions import radial_envelope
+from dunklkg.eigenfunctions import ode_row_residual, radial_envelope
 
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
 CASE_BRANCHES = [
@@ -39,7 +36,8 @@ CASE_BRANCHES = [
 
 
 def case1_lambda(n, alpha, R=1.0, m=1.0):
-    return scale_factor(CurvatureCase.GAUSSIAN, energy_squared_case1(n, alpha, R, m), R, m)
+    e2 = energy_pair(CurvatureCase.GAUSSIAN, n, alpha, R, m).e2_plus
+    return scale_factor(CurvatureCase.GAUSSIAN, e2, R, m)
 
 
 # --- pointwise values -----------------------------------------------------------
@@ -157,7 +155,10 @@ def test_ode_residual_sweep():
 
 
 def test_ode_residual_rejects_non_eigenfunction():
-    assert ode_residual(0, Fraction(1, 2), eigenvalue_shift=0.1) > 1e-2
+    # F_0 put through the n = 1 equation, whose eigenvalue is k + 1, not k
+    alpha, h = Fraction(1, 2), 1e-3
+    r = positive_grid(0.1, 20.0, h)
+    assert ode_row_residual(1, alpha, r, h, eigenfunction_r(0, alpha, r)) > 1e-2
 
 
 def test_ode_fourth_order_convergence():
@@ -170,53 +171,3 @@ def test_ode_fourth_order_convergence():
 def test_ode_residual_grid_validation():
     with pytest.raises(DomainError):
         ode_residual(0, Fraction(1, 2), r_min=0.0)
-
-
-# --- approximation gap -------------------------------------------------------------
-
-def test_gap_at_origin_is_dropped_constant():
-    for R in (1e-4, 0.3, 2.0):
-        assert approximation_gap(0.0, Fraction(1, 2), R, 1.0 + 0.5j) == pytest.approx(R, rel=1e-12)
-
-
-def test_gap_small_curvature():
-    gap = approximation_gap(1.0, Fraction(1, 2), 1e-4, 1.0)
-    assert gap == pytest.approx(1e-4, rel=1e-3)  # R + O(R^2)
-
-
-def test_gap_quartic_growth():
-    # series oracle: exp(2Rx^2) - 1 - 2Rx^2 ~ 2 R^2 x^4 dominates once
-    # 2 R^2 x^4 |u| >> R (at smaller x the dropped constant R still shows)
-    R, u = 1e-4, 1.0
-    for x in (20.0, 30.0):
-        gap = approximation_gap(x, Fraction(1, 2), R, u)
-        assert gap == pytest.approx(2.0 * R * R * x**4 * abs(u), rel=0.1)
-
-
-# --- full even-parity wavefunction ---------------------------------------------------
-
-def test_full_wavefunction_modulus():
-    R, alpha = 0.7, Fraction(3, 2)
-    for x in (-1.3, 0.4, 2.0):
-        psi = full_wavefunction_even(0.0, x, alpha, R, 1.7, 1.0)
-        assert abs(psi) == pytest.approx((abs(x) * math.sqrt(R)) ** (-float(alpha)), rel=1e-12)
-
-
-def test_full_wavefunction_time_periodicity():
-    energy = 1.7
-    psi0 = full_wavefunction_even(0.3, 0.9, Fraction(1, 2), 1.0, energy, 0.5 - 0.2j)
-    psi1 = full_wavefunction_even(0.3 + 2 * math.pi / energy, 0.9, Fraction(1, 2), 1.0, energy, 0.5 - 0.2j)
-    assert psi1 == pytest.approx(psi0, rel=1e-10)
-
-
-def test_full_wavefunction_unit_prefactor():
-    R = 2.25
-    x = 1.0 / math.sqrt(R)
-    chi = 0.3 + 0.1j
-    psi = full_wavefunction_even(0.0, x, Fraction(5, 2), R, 1.2, chi)
-    assert abs(psi) == pytest.approx(abs(chi), rel=1e-12)
-
-
-def test_full_wavefunction_origin_rejected():
-    with pytest.raises(DomainError):
-        full_wavefunction_even(0.0, 0.0, Fraction(1, 2), 1.0, 1.0, 1.0)

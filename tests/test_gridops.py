@@ -16,8 +16,6 @@ from dunklkg import (
     eigenfunction_r,
     ladder_apply,
     positive_grid,
-    sample_positive,
-    sample_symmetric,
     second_derivative_4th,
     symmetric_grid,
     z3_apply,
@@ -25,6 +23,16 @@ from dunklkg import (
 )
 
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
+
+
+def on_symmetric(f, h, n_per_side):
+    pts = symmetric_grid(h, n_per_side)
+    return GridFunction(pts, np.asarray(f(pts), dtype=complex), h, "symmetric")
+
+
+def on_positive(f, r_min, r_max, h):
+    pts = positive_grid(r_min, r_max, h)
+    return GridFunction(pts, np.asarray(f(pts), dtype=complex), h, "positive")
 
 
 # --- grid structure -----------------------------------------------------------
@@ -80,7 +88,7 @@ def test_dunkl_richardson_ratio_on_sine():
     alpha = Fraction(3, 2)
 
     def err(h):
-        gf = sample_symmetric(np.sin, h, int(round(2.0 / h)))
+        gf = on_symmetric(np.sin, h, int(round(2.0 / h)))
         x = gf.points
         exact = np.cos(x) + float(alpha) / x * (np.sin(x) - np.sin(-x))
         return float(np.max(np.abs(dunkl_apply(gf, alpha).values - exact)))
@@ -95,7 +103,7 @@ def test_dunkl_richardson_ratio_on_sine():
 
 def test_dunkl_even_reduces_to_derivative():
     h = 1e-3
-    gf = sample_symmetric(lambda x: x**2, h, 1000)
+    gf = on_symmetric(lambda x: x**2, h, 1000)
     out = dunkl_apply(gf, Fraction(3, 2)).values
     assert np.max(np.abs(out - 2.0 * gf.points)) < 1e-8
 
@@ -103,27 +111,27 @@ def test_dunkl_even_reduces_to_derivative():
 def test_dunkl_even_polynomials_up_to_degree_8():
     h = 1e-3
     for p in (2, 4, 6, 8):
-        gf = sample_symmetric(lambda x, p=p: x**p, h, 1000)
+        gf = on_symmetric(lambda x, p=p: x**p, h, 1000)
         out = dunkl_apply(gf, Fraction(7, 2)).values
         assert np.max(np.abs(out - p * gf.points ** (p - 1))) < 1e-8
 
 
 def test_dunkl_linear():
-    gf = sample_symmetric(lambda x: x, 0.01, 100)
+    gf = on_symmetric(lambda x: x, 0.01, 100)
     for alpha in ALPHAS:
         out = dunkl_apply(gf, alpha).values
         assert np.max(np.abs(out - (1.0 + 2.0 * float(alpha)))) < 1e-10
 
 
 def test_dunkl_cubic():
-    gf = sample_symmetric(lambda x: x**3, 0.01, 100)
+    gf = on_symmetric(lambda x: x**3, 0.01, 100)
     alpha = Fraction(3, 2)
     expected = 3.0 * gf.points**2 + 2.0 * float(alpha) * gf.points**2
     assert np.max(np.abs(dunkl_apply(gf, alpha).values - expected)) < 1e-9
 
 
 def test_dunkl_requires_symmetric_grid():
-    gf = sample_positive(lambda r: r, 1.0, 2.0, 0.05)
+    gf = on_positive(lambda r: r, 1.0, 2.0, 0.05)
     with pytest.raises(GridError):
         dunkl_apply(gf, Fraction(1, 2))
 
@@ -132,7 +140,7 @@ def test_dunkl_requires_symmetric_grid():
 
 def test_z3_on_constant():
     h = 0.01
-    gf = sample_positive(lambda r: np.ones_like(r), 0.5, 3.0, h)
+    gf = on_positive(lambda r: np.ones_like(r), 0.5, 3.0, h)
     alpha = Fraction(1, 2)
     c = float(alpha) / 2 + 3.0 / 16.0
     expected = 1j * (c / gf.points + 0.25 * gf.points)
@@ -186,7 +194,7 @@ def test_ladder_lowest_state_collinearity():
 
 
 def test_ladder_sign_validation():
-    gf = sample_positive(lambda r: r, 1.0, 2.0, 0.05)
+    gf = on_positive(lambda r: r, 1.0, 2.0, 0.05)
     with pytest.raises(GridError):
         ladder_apply(0, gf, Fraction(1, 2))
 
@@ -207,7 +215,7 @@ def test_self_commutator_vanishes():
 
 
 def test_multiplication_operators_commute():
-    gf = sample_positive(lambda r: np.exp(1j * r), 0.5, 3.0, 0.01)
+    gf = on_positive(lambda r: np.exp(1j * r), 0.5, 3.0, 0.01)
 
     def mul(c):
         return lambda g: g.with_values(c * g.values)

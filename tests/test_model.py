@@ -1,24 +1,20 @@
-"""Parameter validation, curvature profiles, and su(1,1) algebra constants."""
+"""Parameter validation, scale factors, and su(1,1) algebra constants."""
 
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from dunklkg import (
     CurvatureCase,
     DegenerateError,
     DomainError,
-    Parity,
     PhysParams,
-    UnsupportedParity,
     bargmann_index,
     casimir_eigenvalue,
-    energy_squared_case1,
+    energy_pair,
     parse_alpha,
     parse_complex,
-    profile_a,
     radial_coupling,
     scale_factor,
     sigma_index,
@@ -61,9 +57,7 @@ def test_parse_complex_rejects_garbage():
 
 def test_phys_params_validation():
     params = PhysParams(alpha=Fraction(3, 2), R=1.0, m=1.0)
-    assert params.parity is Parity.EVEN
-    with pytest.raises(UnsupportedParity):
-        PhysParams(alpha=Fraction(1, 2), R=1.0, m=1.0, parity=Parity.ODD)
+    assert params.alpha == Fraction(3, 2)
     with pytest.raises(DomainError):
         PhysParams(alpha=Fraction(1, 2), R=0.0, m=1.0)
     with pytest.raises(DomainError):
@@ -109,35 +103,10 @@ def test_sigma_identity_sweep():
         assert sig == bargmann_index(alpha) - 0.5
 
 
-# --- curvature profiles ---------------------------------------------------------
-
-def test_profile_values():
-    assert profile_a(CurvatureCase.GAUSSIAN, 0.0, 1.0) == pytest.approx(1.0)
-    assert profile_a(CurvatureCase.RATIONAL, 1.0, 1.0) == pytest.approx(0.0)
-    assert profile_a(CurvatureCase.SINC, math.pi / 2, 1.0) == pytest.approx(
-        math.sin(math.pi / 2) / (math.pi / 2), rel=1e-12
-    )
-    # removable singularity and allowed zeros of the sinc profile
-    assert profile_a(CurvatureCase.SINC, 0.0, 1.0) == pytest.approx(1.0)
-    assert profile_a(CurvatureCase.SINC, math.pi, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-
-@pytest.mark.parametrize("case", list(CurvatureCase))
-def test_profile_even(case):
-    x = np.linspace(0.05, 3.0, 40)
-    np.testing.assert_array_equal(profile_a(case, x, 0.7), profile_a(case, -x, 0.7))
-
-
-@pytest.mark.parametrize("case", list(CurvatureCase))
-def test_profile_flat_space_limit(case):
-    for x in (0.3, 1.0, 2.5):
-        assert abs(profile_a(case, x, 1e-8) - 1.0) < 1e-6
-
-
 # --- scale factors ---------------------------------------------------------------
 
 def test_scale_factor_case1_value():
-    e2 = energy_squared_case1(0, Fraction(1, 2), 1.0, 1.0)
+    e2 = energy_pair(CurvatureCase.GAUSSIAN, 0, Fraction(1, 2), 1.0, 1.0).e2_plus
     lam = scale_factor(CurvatureCase.GAUSSIAN, e2, 1.0, 1.0)
     # (2 sqrt(3) - 4i)^2 = -4 - 16 sqrt(3) i reproduces 2R(E^2 - m^2)
     assert lam == pytest.approx(2 * math.sqrt(3) - 4j, rel=1e-12)

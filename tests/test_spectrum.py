@@ -10,9 +10,6 @@ from dunklkg import (
     DegenerateError,
     compare_reference,
     energy_pair,
-    energy_pair_case2,
-    energy_pair_case3,
-    energy_squared_case1,
     self_consistency_residual,
     spectrum_table,
     table_to_csv,
@@ -26,19 +23,20 @@ ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
 
 def test_case1_ground_state():
     # hand evaluation: sqrt(0.75) = 0.8660254, (1 + i s)^2 = 0.25 + 1.7320508i
-    e2 = energy_squared_case1(0, Fraction(1, 2), 1.0, 1.0)
+    e2 = energy_pair(CurvatureCase.GAUSSIAN, 0, Fraction(1, 2), 1.0, 1.0).e2_plus
     assert e2 == pytest.approx(-1.0 - 13.856406460551018j, rel=1e-12)
 
 
 def test_case1_first_excited():
     # (3 + 0.8660254i)^2 = 8.25 + 5.1961524i, times 8, subtracted from 1
-    e2 = energy_squared_case1(1, Fraction(1, 2), 1.0, 1.0)
+    e2 = energy_pair(CurvatureCase.GAUSSIAN, 1, Fraction(1, 2), 1.0, 1.0).e2_plus
     assert e2 == pytest.approx(-65.0 - 41.569219381653056j, rel=1e-12)
 
 
 def test_case1_zero_curvature():
     for n in (0, 3, 17):
-        assert energy_squared_case1(n, Fraction(5, 2), 0.0, 1.0) == pytest.approx(1.0)
+        pair = energy_pair(CurvatureCase.GAUSSIAN, n, Fraction(5, 2), 0.0, 1.0)
+        assert pair.e2_plus == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(
@@ -50,7 +48,7 @@ def test_case1_zero_curvature():
     ],
 )
 def test_case2_published_entries(n, alpha, e_plus):
-    pair = energy_pair_case2(n, alpha, 1.0, 1.0)
+    pair = energy_pair(CurvatureCase.RATIONAL, n, alpha, 1.0, 1.0)
     assert pair.e_plus.real == pytest.approx(e_plus.real, abs=1e-2)
     assert pair.e_plus.imag == pytest.approx(e_plus.imag, abs=1e-2)
 
@@ -66,7 +64,7 @@ def test_case2_published_entries(n, alpha, e_plus):
     ],
 )
 def test_case3_published_entries(n, alpha, branch, expected):
-    pair = energy_pair_case3(n, alpha, 1.0, 1.0)
+    pair = energy_pair(CurvatureCase.SINC, n, alpha, 1.0, 1.0)
     value = pair.e_plus if branch == "plus" else pair.e_minus
     assert value.real == pytest.approx(expected.real, abs=1e-2)
     assert value.imag == pytest.approx(expected.imag, abs=1e-2)
@@ -102,7 +100,8 @@ def test_energy_pair_invariants():
 
 def test_case1_imaginary_part_strictly_decreasing():
     for alpha in ALPHAS:
-        ims = [energy_squared_case1(n, alpha, 1.0, 1.0).imag for n in range(11)]
+        pairs = [energy_pair(CurvatureCase.GAUSSIAN, n, alpha, 1.0, 1.0) for n in range(11)]
+        ims = [pair.e2_plus.imag for pair in pairs]
         assert all(ims[i] > ims[i + 1] for i in range(10))
 
 
