@@ -175,8 +175,10 @@ def laguerre_sequence(n_max: int, a: complex, z):
     envelope: the forward recurrence tracks the dominant solution, so
     relative error stays near machine precision for the n <= 30 range the
     public checks exercise; it degrades only slowly beyond (the
-    coherent-state series runs the same recurrence up to n = 599 and
-    cross-validates the result).
+    coherent-state series streams the same recurrence through
+    ``laguerre_rows`` up to n = 599, without this table, and
+    cross-validates the result).  The table is for callers that index
+    rows out of order, such as verify's recurrence check.
     """
     rows = laguerre_rows(n_max, a, z)
     out = np.empty((n_max + 1,) + np.shape(z), dtype=complex)

@@ -14,6 +14,7 @@ D f = f' + (alpha/x)(1 - P) f with P the parity operator.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +40,9 @@ POSITIVE = "positive"
 
 _UNIFORM_TOL = 1e-12
 _MIN_POINTS = 9
+# peak bytes per point of the heaviest positive-grid user, verify's
+# commutator diagnostics (278 measured with tracemalloc)
+_POSITIVE_GRID_BYTES_PER_POINT = 288
 
 GridOperator = Callable[["GridFunction"], "GridFunction"]
 
@@ -92,7 +96,28 @@ def symmetric_grid(h: float, n_per_side: int) -> np.ndarray:
 
 def positive_grid(r_min: float, r_max: float, h: float) -> np.ndarray:
     n = int(round((r_max - r_min) / h))
+    require_memory(n + 1, _POSITIVE_GRID_BYTES_PER_POINT)
     return r_min + h * np.arange(n + 1)
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_memory(points: int, bytes_per_point: int) -> None:
+    """Refuse, before allocating, a grid whose code path would need more than
+    physical memory: points x that path's fixed bytes per point.
+
+    A grid that fits the address space but not the machine would otherwise
+    be attempted and could end in the out-of-memory killer.
+    """
+    need, have = points * bytes_per_point, _physical_memory()
+    if need > have:
+        raise MemoryError(
+            f"Unable to allocate about {need / 2**30:.3g} GiB for a grid of {points} points; "
+            f"physical memory is {have / 2**30:.3g} GiB"
+        )
 
 
 # 4th-order rows: interior central, plus shifted rows for the two points at
@@ -149,13 +174,21 @@ def dunkl_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     return gf.with_values(out)
 
 
-def z3_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
-    """Compact generator Z3 f = i [ r f'' + (alpha/2 + 3/16) f / r + r f / 4 ]."""
-    _require(gf, POSITIVE, "z3_apply")
+def z3_values(values: np.ndarray, r: np.ndarray, h: float, alpha: AlphaLike) -> np.ndarray:
+    """Compact generator Z3 f = i [ r f'' + (alpha/2 + 3/16) f / r + r f / 4 ].
+
+    ``values`` are samples on the positive grid ``r`` of spacing ``h``; the
+    grid is not checked here (a GridFunction checks it once when built).
+    """
     c = radial_coupling(alpha)
-    r = gf.points
-    d2 = second_derivative_4th(gf.values, gf.h)
-    return gf.with_values(1j * (r * d2 + c * gf.values / r + 0.25 * r * gf.values))
+    d2 = second_derivative_4th(values, h)
+    return 1j * (r * d2 + c * values / r + 0.25 * r * values)
+
+
+def z3_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
+    """``z3_values`` of a positive-grid function."""
+    _require(gf, POSITIVE, "z3_apply")
+    return gf.with_values(z3_values(gf.values, gf.points, gf.h, alpha))
 
 
 def ladder_apply(sign: int, gf: GridFunction, alpha: AlphaLike) -> GridFunction:
@@ -169,7 +202,7 @@ def ladder_apply(sign: int, gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     s = -float(sign)  # D_plus carries -r d/dr
     r = gf.points
     d1 = derivative_4th(gf.values, gf.h)
-    z3 = z3_apply(gf, alpha).values
+    z3 = z3_values(gf.values, r, gf.h, alpha)
     return gf.with_values(s * r * d1 + 0.5j * r * gf.values + z3)
 
 

@@ -49,11 +49,13 @@ from .eigenfunctions import (
 )
 from .errors import DomainError
 from .gridops import (
+    POSITIVE,
     GridFunction,
     commutator_apply,
     ladder_apply,
     positive_grid,
     z3_apply,
+    z3_values,
 )
 from .model import (
     CurvatureCase,
@@ -91,15 +93,21 @@ def z3_eigenvalue_residual(
     h: float = 1e-3,
 ) -> float:
     """sup |Z3 F_n - (k+n) F_n| / sup |F_n| on the standard positive grid."""
+    grid = _checked_grid(r_min, r_max, h)
+    return z3_row_residual(n, alpha, grid, eigenfunction_r(n, alpha, grid.points))
+
+
+def _checked_grid(r_min: float, r_max: float, h: float) -> GridFunction:
+    """The positive grid as the grid function r; building it checks the grid
+    (uniform spacing, r >= h) once for every row evaluated on it."""
     r = positive_grid(r_min, r_max, h)
-    return z3_row_residual(n, alpha, r, h, eigenfunction_r(n, alpha, r))
+    return GridFunction(r, r, h, POSITIVE)
 
 
-def z3_row_residual(n: int, alpha, r: np.ndarray, h: float, f: np.ndarray) -> float:
-    """``z3_eigenvalue_residual`` of given samples ``f`` of F_n on the positive grid ``r``."""
-    gf = GridFunction(r, f, h, "positive")
+def z3_row_residual(n: int, alpha, grid: GridFunction, f: np.ndarray) -> float:
+    """``z3_eigenvalue_residual`` of given samples ``f`` of F_n on the points of ``grid``."""
     k = bargmann_index(alpha)
-    res = z3_apply(gf, alpha).values - (k + n) * f
+    res = z3_values(f, grid.points, grid.h, alpha) - (k + n) * f
     return float(np.max(np.abs(res)) / np.max(np.abs(f)))
 
 
@@ -161,46 +169,55 @@ def check_self_consistency() -> Dict:
     return _check("self_consistency", worst, 1e-8)
 
 
-# a row residual maps (n, alpha, r, h, F_n samples on r) to one residual
-RowResidual = Callable[[int, Fraction, np.ndarray, float, np.ndarray], float]
-
-
-def _sweep_max(row_residual: RowResidual, h: float) -> float:
-    """Worst residual of the alpha x n sweep on one grid, one F_n stream per alpha."""
-    r = positive_grid(R_MIN, R_MAX, h)
-    return max(
-        row_residual(n, alpha, r, h, f)
+def _sweep_rows(r: np.ndarray):
+    """(n, alpha, F_n samples on r) for the alpha x n sweep, one F_n stream per alpha."""
+    return (
+        (n, alpha, f)
         for alpha in SWEEP_ALPHAS
         for n, f in enumerate(eigenfunction_rows(max(SWEEP_N), alpha, r))
     )
 
 
-def _residual_bound(name: str, row_residual: RowResidual, h: float, tolerance: float) -> Dict:
-    return _check(name, _sweep_max(row_residual, h), tolerance, h=h)
+def _ode_sweep_max(h: float) -> float:
+    r = positive_grid(R_MIN, R_MAX, h)
+    return max(ode_row_residual(n, alpha, r, h, f) for n, alpha, f in _sweep_rows(r))
 
 
-def _residual_convergence(name: str, row_residual: RowResidual, h: float, h_min: float) -> Dict:
+def _z3_sweep_max(h: float) -> float:
+    grid = _checked_grid(R_MIN, R_MAX, h)
+    return max(z3_row_residual(n, alpha, grid, f) for n, alpha, f in _sweep_rows(grid.points))
+
+
+# a sweep maps a grid spacing h to the worst residual of the alpha x n sweep on that grid
+SweepMax = Callable[[float], float]
+
+
+def _residual_bound(name: str, sweep_max: SweepMax, h: float, tolerance: float) -> Dict:
+    return _check(name, sweep_max(h), tolerance, h=h)
+
+
+def _residual_convergence(name: str, sweep_max: SweepMax, h: float, h_min: float) -> Dict:
     """Shrink factor of the sweep's worst residual from 2h to h, with h >= h_min."""
     h_fine = max(h, h_min)
-    coarse = _sweep_max(row_residual, 2.0 * h_fine)
-    fine = _sweep_max(row_residual, h_fine)
+    coarse = sweep_max(2.0 * h_fine)
+    fine = sweep_max(h_fine)
     return _check(name, coarse / fine, 8.0, "min", h_coarse=2.0 * h_fine, h_fine=h_fine)
 
 
 def check_ode_residual(h: float) -> Dict:
-    return _residual_bound("ode_residual", ode_row_residual, h, 1e-5)
+    return _residual_bound("ode_residual", _ode_sweep_max, h, 1e-5)
 
 
 def check_ode_convergence(h: float) -> Dict:
-    return _residual_convergence("ode_convergence", ode_row_residual, h, ODE_CONV_H)
+    return _residual_convergence("ode_convergence", _ode_sweep_max, h, ODE_CONV_H)
 
 
 def check_z3_eigenvalue(h: float) -> Dict:
-    return _residual_bound("z3_eigenvalue", z3_row_residual, h, 1e-4)
+    return _residual_bound("z3_eigenvalue", _z3_sweep_max, h, 1e-4)
 
 
 def check_z3_convergence(h: float) -> Dict:
-    return _residual_convergence("z3_convergence", z3_row_residual, h, Z3_CONV_H)
+    return _residual_convergence("z3_convergence", _z3_sweep_max, h, Z3_CONV_H)
 
 
 def check_series_agreement() -> Dict:
@@ -319,7 +336,7 @@ def _operator_set(alpha, h: float = 0.002):
     """The grid, F_0 .. F_2 from one pass, F_0 as a GridFunction, and Z3, D+, D-."""
     r = positive_grid(R_MIN, R_MAX, h)
     f = list(eigenfunction_rows(2, alpha, r))
-    base = GridFunction(r, f[0], h, "positive")
+    base = GridFunction(r, f[0], h, POSITIVE)
 
     def z3(gf):
         return z3_apply(gf, alpha)
@@ -376,23 +393,38 @@ def diagnostics_commutators(alpha=Fraction(1, 2)) -> List[Dict]:
     ]
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> complex:
+    return complex(np.sum(a.conj() * b))
+
+
+def _sum_sq(v: np.ndarray) -> float:
+    return float(np.sum(v.real**2 + v.imag**2))
+
+
 def diagnostics_ladder(alpha=Fraction(1, 2)) -> List[Dict]:
-    """Least-squares projection residual of D+- F_0 onto span{F_0, F_1}."""
+    """Least-squares projection residual of D+- F_0 onto span{F_0, F_1}.
+
+    The coefficients solve the 2x2 normal equations of the basis by
+    Cramer's rule, and the residual is a ratio of root sums of squares;
+    both are plain reductions, so no BLAS call wakes its worker threads.
+    """
     _r, f, base, _z3, dplus, dminus = _operator_set(alpha)
     sl = slice(8, -8)
-    basis = np.stack([f[0][sl], f[1][sl]], axis=1)
+    f0, f1 = f[0][sl], f[1][sl]
+    g00, g11 = _sum_sq(f0), _sum_sq(f1)
+    g01 = _inner(f0, f1)
+    det = g00 * g11 - abs(g01) ** 2
     out = []
     for name, op in (("plus", dplus), ("minus", dminus)):
         y = op(base).values[sl]
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        resid = float(np.linalg.norm(y - basis @ coef) / np.linalg.norm(y))
+        p, q = _inner(f0, y), _inner(f1, y)
+        coef = ((g11 * p - g01 * q) / det, (g00 * q - g01.conjugate() * p) / det)
+        resid = math.sqrt(_sum_sq(y - coef[0] * f0 - coef[1] * f1) / _sum_sq(y))
         out.append(
             _diagnostic(
                 f"ladder_collinearity_{name}",
                 resid,
-                projection_coefficients=[
-                    [float(c.real), float(c.imag)] for c in coef
-                ],
+                projection_coefficients=[[c.real, c.imag] for c in coef],
             )
         )
     return out

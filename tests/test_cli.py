@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dunklkg import CurvatureCase, build_profile
+from dunklkg import CurvatureCase, build_profile, gridops
 from dunklkg.cli import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -273,8 +273,8 @@ def test_bad_input_exits_2_with_one_line_message(runner, args):
     assert res.stderr.rstrip("\n").endswith(errors[0])
 
 
-# Both sizes (7 PiB and 1.4 PiB) exceed any address space, so numpy refuses
-# them before touching memory.
+# Both grids (1e15 and 2e14 points) exceed physical memory, and any address
+# space, so the size estimate refuses them before anything is allocated.
 @pytest.mark.parametrize(
     "args",
     [
@@ -289,6 +289,25 @@ def test_unallocatable_grid_exits_1_with_one_line_message(runner, args):
     assert isinstance(res.exception, SystemExit)
     assert res.stdout == ""
     assert res.stderr.startswith("error: Unable to allocate")
+    assert res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["density", "--alpha", "1/2", "--xi", "0.3", "--points", "100000"],
+        ["verify", "--suite", "z3_eigenvalue"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_grid_larger_than_physical_memory_exits_1(runner, monkeypatch, args):
+    # a 1 MiB machine: both grids fit the address space but not the memory
+    monkeypatch.setattr(gridops, "_physical_memory", lambda: 2**20)
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: Unable to allocate about ")
+    assert res.stderr.endswith("physical memory is 0.000977 GiB\n")
     assert res.stderr.count("\n") == 1
 
 

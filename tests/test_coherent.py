@@ -23,10 +23,11 @@ from dunklkg import (
     coherent_series,
     density_profile,
     eigenfunction_x,
+    gridops,
     profiles_to_json,
     suggested_series_terms,
 )
-from dunklkg.coherent import _CSV_BLOCK_ROWS
+from dunklkg.coherent import _CSV_BLOCK_ROWS, _PROFILE_BYTES_PER_POINT
 
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
 XIS = [0.3 + 0.0j, 0.5 + 0.2j, 0.1 - 0.6j]
@@ -206,10 +207,19 @@ def test_build_profile_metadata_and_warning():
     assert prof2.meta["branch"] == "minus"
 
 
+def test_build_profile_refuses_more_than_physical_memory(monkeypatch):
+    need = 400 * _PROFILE_BYTES_PER_POINT
+    monkeypatch.setattr(gridops, "_physical_memory", lambda: need)
+    assert build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 0, 0.3, points=400).x.size == 400
+    monkeypatch.setattr(gridops, "_physical_memory", lambda: need - 1)
+    with pytest.raises(MemoryError, match="grid of 400 points"):
+        build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 0, 0.3, points=400)
+
+
 def test_profile_serialization_deterministic():
     prof = build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.5 + 0.2j, points=50)
     assert prof.to_csv() == prof.to_csv()
-    assert prof.to_json() == prof.to_json()
+    assert profiles_to_json([prof]) == profiles_to_json([prof])
     header = prof.to_csv().splitlines()[0]
     assert header.startswith("# case=gaussian alpha=1/2 n=1 xi=0.5+0.2i tau=0")
 
@@ -250,24 +260,27 @@ def writer_profiles():
     return profiles
 
 
+def json_dumps_document(profiles):
+    return json.dumps({"profiles": [prof.to_json_obj() for prof in profiles]}, indent=2) + "\n"
+
+
 def test_profile_json_equals_json_dumps():
     profiles = writer_profiles()
-    for prof in profiles:
-        assert prof.to_json() == json.dumps(prof.to_json_obj(), indent=2) + "\n"
     nested = {"grid": [0.01, 2.0], "fit": {"terms": [1, {"tail": None}], "empty": []}}
     profiles.append(ProfileData(x=np.ones(2), values=np.ones(2) + 0j, density=np.ones(2),
                                 meta=nested))
-    assert profiles[-1].to_json() == json.dumps(profiles[-1].to_json_obj(), indent=2) + "\n"
-    doc = {"profiles": [prof.to_json_obj() for prof in profiles]}
-    assert profiles_to_json(profiles) == json.dumps(doc, indent=2) + "\n"
-    assert profiles_to_json([]) == json.dumps({"profiles": []}, indent=2) + "\n"
+    for prof in profiles:
+        assert profiles_to_json([prof]) == json_dumps_document([prof])
+    assert profiles_to_json(profiles) == json_dumps_document(profiles)
+    assert profiles_to_json([]) == json_dumps_document([])
 
 
 def test_profile_json_spells_non_finite_samples_as_json_dumps():
     samples = np.array([math.inf, -math.inf, math.nan, 1.0])
     prof = ProfileData(x=samples, values=samples + 0j, density=samples, meta={"n": 1})
-    assert prof.to_json() == json.dumps(prof.to_json_obj(), indent=2) + "\n"
-    assert "Infinity" in prof.to_json() and "NaN" in prof.to_json()
+    text = profiles_to_json([prof])
+    assert text == json_dumps_document([prof])
+    assert "Infinity" in text and "NaN" in text
 
 
 def test_profile_csv_rows_are_nine_significant_digits():

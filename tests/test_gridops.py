@@ -14,6 +14,7 @@ from dunklkg import (
     derivative_4th,
     dunkl_apply,
     eigenfunction_r,
+    gridops,
     ladder_apply,
     positive_grid,
     second_derivative_4th,
@@ -36,6 +37,16 @@ def on_positive(f, r_min, r_max, h):
 
 
 # --- grid structure -----------------------------------------------------------
+
+def test_positive_grid_refuses_more_than_physical_memory(monkeypatch):
+    points = 19901  # r = 0.1 .. 20 at h = 1e-3
+    need = points * gridops._POSITIVE_GRID_BYTES_PER_POINT
+    monkeypatch.setattr(gridops, "_physical_memory", lambda: need)
+    assert positive_grid(0.1, 20.0, 1e-3).size == points
+    monkeypatch.setattr(gridops, "_physical_memory", lambda: need - 1)
+    with pytest.raises(MemoryError, match=f"grid of {points} points"):
+        positive_grid(0.1, 20.0, 1e-3)
+
 
 def test_symmetric_grid_structure():
     pts = symmetric_grid(0.1, 20)

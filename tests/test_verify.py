@@ -1,15 +1,41 @@
 """The verify grid sweeps and block-drawn samples against their per-n and
-per-sample definitions.
+per-sample definitions, and verify's BLAS-free reductions against BLAS.
 
 The sweeps stream F_0 .. F_5 once per (alpha, grid) and the random checks
 draw all their samples in one ``rng.uniform`` call; both must give exactly
 (``==``) the records that the public per-n residual functions and one
 ``rng.uniform`` call per real or imaginary part give.
+
+The Perelomov series and the ladder projection sum in plain numpy, with no
+BLAS call, because BLAS worker threads keep spinning after each call and
+bill verify about twice its wall time in CPU.  Here they are held to the
+matrix-product and least-squares forms they replace, at tolerances fixed
+from the reassociated sums, and an ``ast`` scan keeps BLAS out of the two
+modules.
 """
 
-import numpy as np
+import ast
+import cmath
+import math
+from pathlib import Path
 
-from dunklkg import complexfn, ode_residual, verify, z3_eigenvalue_residual
+import numpy as np
+import pytest
+
+from dunklkg import (
+    CoherentParams,
+    bargmann_index,
+    coherent_series,
+    complexfn,
+    log_gamma,
+    normalization,
+    ode_residual,
+    sigma_index,
+    suggested_series_terms,
+    verify,
+    z3_eigenvalue_residual,
+)
+from dunklkg.eigenfunctions import radial_envelope
 
 
 def sweep_max(residual, h):
@@ -88,3 +114,67 @@ def test_pow_identities_equal_per_sample_draws():
             worst = max(worst, abs(complexfn.principal_pow(z, 1.0) - z) / abs(z))
             worst = max(worst, abs(complexfn.principal_pow(z, 0.0) - 1.0))
     assert record["measured"] == worst
+
+
+# --- BLAS-free reductions against their BLAS forms -------------------------------
+
+def lstsq_projection(alpha, sign):
+    """``diagnostics_ladder``'s projection by ``np.linalg.lstsq`` on the same basis."""
+    _r, f, base, _z3, dplus, dminus = verify._operator_set(alpha)
+    sl = slice(8, -8)
+    basis = np.stack([f[0][sl], f[1][sl]], axis=1)
+    y = (dplus if sign > 0 else dminus)(base).values[sl]
+    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    return np.linalg.norm(y - basis @ coef) / np.linalg.norm(y), coef
+
+
+@pytest.mark.parametrize("alpha", verify.SWEEP_ALPHAS, ids=str)
+def test_ladder_projection_equals_lstsq(alpha):
+    records = verify.diagnostics_ladder(alpha)
+    for sign, record in zip((+1, -1), records):
+        resid, coef = lstsq_projection(alpha, sign)
+        assert record["measured"] == pytest.approx(resid, rel=1e-8)
+        got = np.array([complex(*c) for c in record["projection_coefficients"]])
+        assert np.max(np.abs(got - coef)) <= 1e-8 * np.max(np.abs(coef))
+
+
+def series_by_contraction(x, params):
+    """``coherent_series`` as the weight vector times a ``laguerre_sequence`` table."""
+    alpha, lam, xi = params.alpha, params.lambda_scale, params.xi
+    n_terms = suggested_series_terms(params, float(np.max(x)))
+    two_k = 2.0 * bargmann_index(alpha)
+    weights = np.array([
+        cmath.exp(0.5 * (log_gamma(n + two_k) - math.lgamma(n + 1) - log_gamma(two_k)))
+        * xi**n * normalization(n, alpha, lam)
+        for n in range(n_terms)
+    ])
+    r = lam * x**2
+    lag = complexfn.laguerre_sequence(n_terms - 1, 2.0 * sigma_index(alpha), 1j * r)
+    return (weights @ lag) * radial_envelope(alpha, r) * cmath.exp(
+        0.5 * two_k * math.log1p(-abs(xi) ** 2)
+    )
+
+
+@pytest.mark.parametrize("alpha", verify.SWEEP_ALPHAS, ids=str)
+@pytest.mark.parametrize("xi", verify.SERIES_XIS, ids=str)
+def test_series_equals_table_contraction(alpha, xi):
+    params = CoherentParams.for_case(verify.GAUSSIAN, alpha, 0, xi)
+    got = coherent_series(verify.SERIES_X, params)
+    want = series_by_contraction(verify.SERIES_X, params)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+BLAS_ATTRIBUTES = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+@pytest.mark.parametrize("module", ["verify.py", "coherent.py"])
+def test_no_blas_call_in_verify_path(module):
+    tree = ast.parse((Path(verify.__file__).parent / module).read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES
+        or isinstance(node, ast.alias) and node.name.split(".")[-1] in BLAS_ATTRIBUTES
+    ]
+    assert not found, f"{module}: BLAS call or import at lines {found}"
