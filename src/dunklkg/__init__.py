@@ -58,7 +58,6 @@ from .gridops import (
 )
 from .model import (
     CurvatureCase,
-    PhysParams,
     bargmann_index,
     casimir_eigenvalue,
     parse_alpha,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import os
 import stat
 import sys
@@ -23,9 +22,9 @@ import click
 
 from .coherent import PhaseConvention, build_profile, profiles_to_json
 from .errors import DunklKGError, NormalizationError
-from .model import CurvatureCase, PhysParams, parse_alpha, parse_complex
+from .model import CurvatureCase, parse_alpha, parse_complex
 from .refdata import TABLES, compare_reference
-from .spectrum import csv_comment, csv_field, spectrum_table, table_to_csv, table_to_json
+from .spectrum import csv_text, spectrum_table, table_to_csv, table_to_json
 from .verify import report_to_json, run_verification
 
 ENV_FORMAT = "DUNKLKG_FORMAT"
@@ -197,10 +196,7 @@ def cmd_spectrum(case_name, alpha_text, n_spec, curvature, mass, fmt, config_pat
     case = CurvatureCase.from_name(vals["case"])
     alphas = [parse_alpha(tok) for tok in vals["alpha"].split(",") if tok.strip()]
     n_list = _parse_n_list(vals["n"])
-    R, m = _numeric(vals, "R"), _numeric(vals, "m")
-    if not (0.0 <= R < math.inf and 0.0 < m < math.inf):
-        raise click.UsageError(f"need finite R >= 0 and m > 0, got R={R}, m={m}")
-    table = spectrum_table(case, alphas, n_list, R, m)
+    table = spectrum_table(case, alphas, n_list, _numeric(vals, "R"), _numeric(vals, "m"))
     text = table_to_csv(table) if vals["format"] == "csv" else table_to_json(table)
     _emit(text, output)
 
@@ -218,32 +214,19 @@ def cmd_table(table_id, tol, fmt, output):
 
     Exits 0 iff every component deviation is within --tol.
     """
-    fmt = fmt or _default_format()
     cmp = compare_reference(table_id, tol)
-    if fmt == "json":
-        payload = {
-            "table": cmp.table,
-            "case": cmp.case.value,
-            "tolerance": cmp.tolerance,
-            "max_deviation": cmp.max_deviation,
-            "passed": cmp.passed,
-            "entries": list(cmp.entries),
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+    meta = {
+        "table": cmp.table,
+        "case": cmp.case.value,
+        "tolerance": cmp.tolerance,
+        "max_deviation": cmp.max_deviation,
+        "passed": cmp.passed,
+    }
+    if (fmt or _default_format()) == "json":
+        text = json.dumps({**meta, "entries": list(cmp.entries)}, indent=2) + "\n"
     else:
-        meta = {
-            "table": cmp.table,
-            "case": cmp.case.value,
-            "tolerance": cmp.tolerance,
-            "max_deviation": cmp.max_deviation,
-            "passed": cmp.passed,
-        }
-        lines = [
-            csv_comment(meta),
-            "alpha,n,branch,computed_re,computed_im,reference_re,reference_im,deviation",
-        ]
-        lines += [",".join(map(csv_field, e.values())) for e in cmp.entries]
-        text = "\n".join(lines) + "\n"
+        # every table has entries, all with the keys of the first
+        text = csv_text(cmp.entries[0].keys(), (e.values() for e in cmp.entries), meta)
     _emit(text, output)
     if not cmp.passed:
         raise click.exceptions.Exit(1)
@@ -297,8 +280,6 @@ def _profile_command(evolved: bool):
         n_list = _parse_n_list(vals["n"])
         tau_list = _parse_tau_list(vals["tau"])
         R, m = _numeric(vals, "R"), _numeric(vals, "m")
-        # profile evaluation needs the full validated physical triple
-        PhysParams(alpha=alpha, R=R, m=m)
         profiles = [
             build_profile(
                 case, alpha, n, xi,

@@ -34,9 +34,9 @@ import math
 import numpy as np
 
 from .complexfn import laguerre_rows, log_gamma, principal_log
-from .errors import DegenerateError, DomainError, GridError
-from .gridops import positive_grid, second_derivative_4th
-from .model import AlphaLike, bargmann_index, radial_coupling, sigma_index
+from .errors import DegenerateError, DomainError
+from .gridops import positive_grid, z3_values
+from .model import AlphaLike, bargmann_index, sigma_index
 
 __all__ = [
     "eigenfunction_r",
@@ -139,12 +139,10 @@ def ode_residual(
 
 
 def ode_row_residual(n: int, alpha: AlphaLike, r: np.ndarray, h: float, f: np.ndarray) -> float:
-    """``ode_residual`` of given samples ``f`` of F_n on the positive grid ``r`` (spacing h)."""
-    if r.size < 9:
-        raise GridError("need at least 9 grid points")
-    d2 = second_derivative_4th(f, h)
-    k = bargmann_index(alpha)
-    c = radial_coupling(alpha)
-    lhs = -(r**2) * d2 - 1j * (k + n) * r * f - 0.25 * r**2 * f
-    res = np.abs(lhs - c * f)[2:-2]
-    return float(np.max(res) / np.max(np.abs(f)))
+    """``ode_residual`` of given samples ``f`` of F_n on the positive grid ``r`` (spacing h).
+
+    The reduced equation's residual is i r times that of the Z3 eigenvalue
+    equation Z3 F = (k+n) F, so the operator is written once, in ``z3_values``.
+    """
+    res = r * (z3_values(f, r, h, alpha) - (bargmann_index(alpha) + n) * f)
+    return float(np.max(np.abs(res[2:-2])) / np.max(np.abs(f)))

@@ -12,9 +12,7 @@ is treated as identical to alpha throughout.
 from __future__ import annotations
 
 import enum
-import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -23,7 +21,6 @@ from .errors import DegenerateError, DomainError
 
 __all__ = [
     "CurvatureCase",
-    "PhysParams",
     "bargmann_index",
     "casimir_eigenvalue",
     "parse_alpha",
@@ -69,17 +66,9 @@ def parse_alpha(text: str) -> Fraction:
     if match is None:
         raise DomainError(f"cannot parse alpha from {text!r}; expected 'p/2' with odd p")
     value = Fraction(int(match.group(1)), 2)
-    _validate_alpha(value)
+    if value.denominator != 2:  # p even, including 0
+        raise DomainError(f"alpha must be a positive half-odd integer (2j+1)/2, got {value}")
     return value
-
-
-def _validate_alpha(alpha: AlphaLike) -> Fraction:
-    frac = Fraction(alpha) if not isinstance(alpha, Fraction) else alpha
-    if frac <= 0 or frac.denominator != 2:
-        raise DomainError(
-            f"alpha must be a positive half-odd integer (2j+1)/2, got {frac}"
-        )
-    return frac
 
 
 def parse_complex(text: str) -> complex:
@@ -89,22 +78,6 @@ def parse_complex(text: str) -> complex:
         return complex(cleaned)
     except ValueError:
         raise DomainError(f"cannot parse complex literal {text!r}") from None
-
-
-@dataclass(frozen=True)
-class PhysParams:
-    """The physical input triple (alpha, R, m)."""
-
-    alpha: Fraction
-    R: float
-    m: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _validate_alpha(self.alpha))
-        if not (0.0 < self.R < math.inf):
-            raise DomainError(f"curvature constant R must be positive and finite, got {self.R}")
-        if not (0.0 < self.m < math.inf):
-            raise DomainError(f"mass m must be positive and finite, got {self.m}")
 
 
 def bargmann_index(alpha: AlphaLike) -> complex:

@@ -26,6 +26,7 @@ Reported energies E are principal roots of E^2, so Re(E) >= 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -54,17 +55,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnergyPair:
-    """Complex energies (and their squares) for one (case, n).
+    """Squared complex energies for one (case, n); E is the principal root of E^2.
 
     The gaussian case has a single branch: it is stored in the ``plus``
-    slots and the ``minus`` slots are None.
+    slot and the ``minus`` slot is None.
     """
 
     n: int
     e2_plus: complex
-    e_plus: complex
     e2_minus: Optional[complex] = None
-    e_minus: Optional[complex] = None
+
+    @property
+    def e_plus(self) -> complex:
+        return principal_sqrt(self.e2_plus)
+
+    @property
+    def e_minus(self) -> Optional[complex]:
+        return None if self.e2_minus is None else principal_sqrt(self.e2_minus)
 
     @property
     def branches(self) -> Tuple[Tuple[str, complex], ...]:
@@ -85,7 +92,7 @@ def _gaussian_pair(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
     """Gaussian-profile spectrum E_n^2 = m^2 - 8R (2n + 1 + i sqrt(2a - 1/4))^2."""
     s = _inner_s(alpha)
     e2 = m * m - 8.0 * R * (2 * n + 1 + 1j * s) ** 2
-    return EnergyPair(n=n, e2_plus=e2, e_plus=principal_sqrt(e2))
+    return EnergyPair(n, e2)
 
 
 def _bracket(n: int, alpha: AlphaLike) -> complex:
@@ -104,13 +111,7 @@ def _rational_pair(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
     root = b * principal_sqrt(1.0 - 1.0 / (b * b))
     e2p = m * m - 2.0 * R * (b + root)
     e2m = m * m - 2.0 * R * (b - root)
-    return EnergyPair(
-        n=n,
-        e2_plus=e2p,
-        e_plus=principal_sqrt(e2p),
-        e2_minus=e2m,
-        e_minus=principal_sqrt(e2m),
-    )
+    return EnergyPair(n, e2p, e2m)
 
 
 def _sinc_pair(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
@@ -119,13 +120,7 @@ def _sinc_pair(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
     root = principal_sqrt(b * b - 1.0)
     e2p = m * m - R / 6.0 * (b + root)
     e2m = m * m - R / 6.0 * (b - root)
-    return EnergyPair(
-        n=n,
-        e2_plus=e2p,
-        e_plus=principal_sqrt(e2p),
-        e2_minus=e2m,
-        e_minus=principal_sqrt(e2m),
-    )
+    return EnergyPair(n, e2p, e2m)
 
 
 _CASE_DISPATCH = {
@@ -136,8 +131,11 @@ _CASE_DISPATCH = {
 
 
 def energy_pair(case: CurvatureCase, n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
+    """E^2 on each branch; the one check of the physical inputs R and m."""
     if n < 0:
         raise DomainError("quantum number n must be non-negative")
+    if not (0.0 <= R < math.inf and 0.0 < m < math.inf):  # also rejects NaN
+        raise DomainError(f"need finite R >= 0 and m > 0, got R={R}, m={m}")
     return _CASE_DISPATCH[case](n, alpha, R, m)
 
 
@@ -228,11 +226,11 @@ def spectrum_table(
 
 
 # --- text writers ------------------------------------------------------------
-# The one CSV number rule, and the layout of json.dumps(..., indent=2) as a
-# ``%`` template with one %s slot per value; both are shared with the
-# profile writers in ``coherent`` and the CLI.  A slot takes a finite float
+# The one CSV number rule, and the one template builder: ``json_records``
+# writes the layout of json.dumps(..., indent=2) for an array of records as
+# a ``%`` template with one %s slot per value.  A slot takes a finite float
 # or an int (str() writes the digits json.dumps writes) or a JSON text such
-# as "null", and filling a whole document in one call formats every number
+# as "null", and filling a whole array in one call formats every number
 # in C.
 
 CSV_FLOAT = "%.9g"  # every CSV number: 9 significant digits
@@ -249,35 +247,25 @@ def csv_field(value) -> str:
     return str(value)
 
 
-def csv_comment(meta: dict) -> str:
-    """The '# key=value ...' line that heads a CSV block."""
-    return "# " + " ".join(f"{key}={csv_field(value)}" for key, value in meta.items())
-
-
-def json_array(items: Sequence[str], depth: int) -> str:
-    """Template of an array nested ``depth`` levels deep, from its items' templates."""
-    if not items:
-        return "[]"
-    sep = "\n" + "  " * (depth + 1)
-    return f"[{sep}{(',' + sep).join(items)}\n{'  ' * depth}]"
-
-
-def json_object(members: Sequence[Tuple[str, str]], depth: int) -> str:
-    """Template of an object nested ``depth`` levels deep, from (key, value template) pairs."""
-    if not members:
-        return "{}"
-    sep = "\n" + "  " * (depth + 1)
-    body = ("," + sep).join(
-        f"{json.dumps(key).replace('%', '%%')}: {item}" for key, item in members
-    )
-    return f"{{{sep}{body}\n{'  ' * depth}}}"
+def csv_text(keys: Sequence[str], rows: Iterable[Iterable], meta: Optional[dict] = None) -> str:
+    """A CSV block: the optional '# key=value ...' line, the header, one line per row."""
+    lines = [",".join(keys)]
+    if meta is not None:
+        lines.insert(0, "# " + " ".join(f"{k}={csv_field(v)}" for k, v in meta.items()))
+    lines += [",".join(map(csv_field, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def json_records(keys: Sequence[str], rows: int, depth: int = 0) -> str:
-    """Template of an array of ``rows`` objects that share ``keys``; its slots
+    """Template of an array of ``rows`` objects that share ``keys``, laid out as
+    json.dumps(..., indent=2) lays it out ``depth`` levels deep; its slots
     take the member values row by row."""
-    item = json_object([(key, "%s") for key in keys], depth + 1)
-    return json_array([item] * rows, depth)
+    if not rows:
+        return "[]"
+    pad = "\n" + "  " * depth
+    members = ",".join(f"{pad}    {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
+    item = f"{pad}  {{{members}{pad}  }}"
+    return "[" + ",".join([item] * rows) + pad + "]"
 
 
 _TABLE_KEYS = ("case", "alpha", "n", "re_e_plus", "im_e_plus", "re_e_minus", "im_e_minus")
@@ -286,13 +274,13 @@ _TABLE_KEYS = ("case", "alpha", "n", "re_e_plus", "im_e_plus", "re_e_minus", "im
 def _table_values(table: SpectrumTable):
     """One tuple per row, in ``_TABLE_KEYS`` order; None where a branch is absent."""
     for alpha, n, pair in table.rows:
-        em = pair.e_minus
+        ep, em = pair.e_plus, pair.e_minus
         yield (
             table.case.value,
             str(alpha),
             n,
-            pair.e_plus.real,
-            pair.e_plus.imag,
+            ep.real,
+            ep.imag,
             None if em is None else em.real,
             None if em is None else em.imag,
         )
@@ -300,9 +288,7 @@ def _table_values(table: SpectrumTable):
 
 def table_to_csv(table: SpectrumTable) -> str:
     """CSV rows (9 significant digits); empty fields where a branch is absent."""
-    lines = [",".join(_TABLE_KEYS)]
-    lines += [",".join(map(csv_field, row)) for row in _table_values(table)]
-    return "\n".join(lines) + "\n"
+    return csv_text(_TABLE_KEYS, _table_values(table))
 
 
 def table_to_json(table: SpectrumTable) -> str:
@@ -310,7 +296,7 @@ def table_to_json(table: SpectrumTable) -> str:
 
     Byte for byte ``json.dumps(rows, indent=2) + "\\n"``: one json.dumps
     call renders every value (None as null, a non-finite energy as NaN or
-    Infinity) and one template lays out the array.
+    Infinity) and one ``json_records`` template lays out the array.
     """
     flat = [value for row in _table_values(table) for value in row]
     # the only strings are case names and 'p/q' fractions, so no value's

@@ -1,12 +1,15 @@
 """Command-line surface: formats, exit codes, determinism, config handling."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklkg import CurvatureCase, build_profile, gridops
 from dunklkg.cli import cli
@@ -248,8 +251,12 @@ def test_negative_n_rejected(runner):
         ["spectrum", "--alpha", "1/2", "--m", "nan"],
         ["spectrum", "--alpha", "1/2", "--R", "inf"],
         ["spectrum", "--alpha", "1/2", "--n", "-3..1"],
+        ["spectrum", "--alpha", "1/2", "--m", "-1"],
         ["density", "--alpha", "1/2", "--xi", "nan"],
         ["density", "--alpha", "1/2", "--xi", "0.3", "--R", "inf"],
+        ["density", "--alpha", "1/2", "--xi", "0.3", "--R", "0"],
+        ["density", "--alpha", "1/2", "--xi", "0.3", "--m", "0"],
+        ["evolve", "--alpha", "1/2", "--xi", "0.3", "--tau", "1", "--R", "-1"],
         ["density", "--alpha", "1/2", "--xi", "0.3", "--x-min", "2", "--x-max", "1"],
         ["evolve", "--alpha", "1/2", "--xi", "0.3", "--tau", "nan"],
         ["verify", "--grid-h", "0"],
@@ -309,6 +316,23 @@ def test_grid_larger_than_physical_memory_exits_1(runner, monkeypatch, args):
     assert res.stderr.startswith("error: Unable to allocate about ")
     assert res.stderr.endswith("physical memory is 0.000977 GiB\n")
     assert res.stderr.count("\n") == 1
+
+
+def test_json_writer_larger_than_physical_memory_exits_1(runner, monkeypatch):
+    # 4 MiB holds the 10k-point profile (96 B/point) but not its JSON text
+    # (704 B/point); the CSV writer needs no such estimate
+    monkeypatch.setattr(gridops, "_physical_memory", lambda: 4 * 2**20)
+    args = ["density", "--alpha", "1/2", "--xi", "0.3", "--points", "10000"]
+    res = runner.invoke(cli, args + ["--format", "json"])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: Unable to allocate about 0.00656 GiB for a grid of 10000 points; "
+        "physical memory is 0.00391 GiB\n"
+    )
+    res = invoke(runner, args + ["--format", "csv"])
+    assert res.exit_code == 0
+    assert len(res.stdout.splitlines()) == 10002
 
 
 def test_unwritable_output_fails_before_any_work(runner, monkeypatch):
@@ -419,8 +443,9 @@ def test_evolve_json_document_equals_json_dumps(runner):
     assert res.stdout == json.dumps(doc, indent=2) + "\n"
 
 
-# The README-size calls; the golden files were written by the per-sample
-# writers that the whole-array writers replaced.
+# The README-size calls; the golden files were written by independent
+# writers: the profile and spectrum ones per sample, the table ones by
+# per-format code that ``csv_text`` and one ``json.dumps`` call replaced.
 GOLDEN_CALLS = [
     ("density.csv", ["density", "--alpha", "1/2", "--xi", "0.5+0.2i", "--n", "0..5"]),
     ("density.json", ["density", "--alpha", "1/2", "--xi", "0.5+0.2i", "--n", "0..5",
@@ -431,6 +456,10 @@ GOLDEN_CALLS = [
     ("spectrum.json", ["spectrum", "--case", "rational", "--alpha", "1/2", "--n", "0..5",
                        "--format", "json"]),
     ("spectrum_gaussian.json", ["spectrum", "--alpha", "1/2", "--n", "0..2", "--format", "json"]),
+    ("table1.csv", ["table", "--reproduce", "table1", "--format", "csv"]),
+    ("table1.json", ["table", "--reproduce", "table1", "--format", "json"]),
+    ("table2.csv", ["table", "--reproduce", "table2", "--format", "csv"]),
+    ("table2.json", ["table", "--reproduce", "table2", "--format", "json"]),
 ]
 
 
@@ -443,3 +472,63 @@ def test_output_matches_golden_file(runner, tmp_path, name, args):
     out = tmp_path / name
     assert invoke(runner, args + ["-o", str(out)]).exit_code == 0
     assert out.read_bytes() == golden
+
+
+# --- any float input: an exit code, never a traceback or a NaN ---------------------
+
+# st.floats() draws nan, +-inf and subnormals; the extremes are added so that
+# every run meets them, and half the draws come from a range where the
+# command can succeed
+EXTREMES = st.sampled_from([1e308, -1e308, 5e-324, 0.0, -0.0])
+
+
+def any_float(lo, hi):
+    """Any float, from [lo, hi] about half the time."""
+    return st.one_of(st.floats(lo, hi), st.one_of(st.floats(), EXTREMES))
+
+
+CASES = st.sampled_from(["gaussian", "rational", "sinc"])
+BRANCHES = st.sampled_from([["--case", "gaussian"]] + [
+    ["--case", case, "--branch", branch]
+    for case in ("rational", "sinc")
+    for branch in ("plus", "minus")
+])
+NAN_FIELD = re.compile(r"(^|[,:\s])-?(nan|NaN)(,|$)", re.MULTILINE)
+
+
+def _run_twice(args):
+    runner = CliRunner()
+    first, second = runner.invoke(cli, args), runner.invoke(cli, args)
+    assert first.exit_code in (0, 1, 2), first.exception
+    assert first.exception is None or isinstance(first.exception, SystemExit)
+    assert "Traceback" not in first.stderr
+    if first.exit_code == 0:
+        assert not NAN_FIELD.search(first.stdout)
+    assert (second.exit_code, second.stdout_bytes, second.stderr_bytes) == (
+        first.exit_code, first.stdout_bytes, first.stderr_bytes
+    )
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(case=CASES, R=any_float(0, 4), m=any_float(0.1, 4), fmt=st.sampled_from(["csv", "json"]))
+def test_spectrum_any_float_input(case, R, m, fmt):
+    _run_twice(["spectrum", "--case", case, "--alpha", "1/2,7/2", "--n", "0,5",
+                "--R", repr(R), "--m", repr(m), "--format", fmt])
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(branch=BRANCHES, R=any_float(0, 4), m=any_float(0.1, 4), re_xi=any_float(-0.7, 0.7),
+       im_xi=any_float(-0.7, 0.7), fmt=st.sampled_from(["csv", "json"]))
+def test_density_any_float_input(branch, R, m, re_xi, im_xi, fmt):
+    _run_twice(["density", *branch, "--alpha", "3/2",
+                "--xi", f"{re_xi!r}{im_xi:+}i", "--R", repr(R), "--m", repr(m),
+                "--points", "20", "--format", fmt])
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(branch=BRANCHES, R=any_float(0, 4), m=any_float(0.1, 4), tau=any_float(-10, 10),
+       re_xi=any_float(-0.7, 0.7), im_xi=any_float(-0.7, 0.7), fmt=st.sampled_from(["csv", "json"]))
+def test_evolve_any_float_input(branch, R, m, tau, re_xi, im_xi, fmt):
+    _run_twice(["evolve", *branch, "--alpha", "1/2",
+                "--xi", f"{re_xi!r}{im_xi:+}i", "--R", repr(R), "--m", repr(m),
+                "--tau", repr(tau), "--points", "20", "--format", fmt])

@@ -9,7 +9,6 @@ from dunklkg import (
     CurvatureCase,
     DegenerateError,
     DomainError,
-    PhysParams,
     bargmann_index,
     casimir_eigenvalue,
     energy_pair,
@@ -55,15 +54,16 @@ def test_parse_complex_rejects_garbage():
         parse_complex("1+2x")
 
 
-def test_phys_params_validation():
-    params = PhysParams(alpha=Fraction(3, 2), R=1.0, m=1.0)
-    assert params.alpha == Fraction(3, 2)
-    with pytest.raises(DomainError):
-        PhysParams(alpha=Fraction(1, 2), R=0.0, m=1.0)
-    with pytest.raises(DomainError):
-        PhysParams(alpha=Fraction(1, 2), R=1.0, m=-1.0)
-    with pytest.raises(DomainError):
-        PhysParams(alpha=Fraction(1, 3), R=1.0, m=1.0)
+def test_energy_pair_validates_R_and_m():
+    # the one rule for the physical inputs: finite R >= 0 and finite m > 0
+    for case in CurvatureCase:
+        assert energy_pair(case, 0, Fraction(3, 2), 0.0, 1.0).e2_plus == 1.0  # flat: E^2 = m^2
+        for R in (math.nan, math.inf, -math.inf, -1.0):
+            with pytest.raises(DomainError, match="need finite R >= 0 and m > 0"):
+                energy_pair(case, 0, Fraction(1, 2), R, 1.0)
+        for m in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="need finite R >= 0 and m > 0"):
+                energy_pair(case, 0, Fraction(1, 2), 1.0, m)
 
 
 # --- algebra constants ---------------------------------------------------------
