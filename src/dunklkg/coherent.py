@@ -40,7 +40,14 @@ from .complexfn import laguerre_rows, log_gamma, principal_log
 from .errors import DomainError, NormalizationError
 from .eigenfunctions import normalization, radial_envelope
 from .gridops import POSITIVE, GridFunction, require_memory
-from .model import AlphaLike, CurvatureCase, bargmann_index, scale_factor, sigma_index
+from .model import (
+    AlphaLike,
+    CurvatureCase,
+    bargmann_index,
+    half_odd_alpha,
+    scale_factor,
+    sigma_index,
+)
 from .spectrum import CSV_FLOAT, csv_field, csv_text, energy_pair, json_records
 
 __all__ = [
@@ -97,6 +104,7 @@ class CoherentParams:
     phase_convention: PhaseConvention = PhaseConvention.CORRECTED
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", half_odd_alpha(self.alpha))
         if not abs(self.xi) < 1.0:  # also rejects a NaN xi
             raise DomainError(f"|xi| must be < 1 (Perelomov disk), got |xi| = {abs(self.xi)}")
         if not math.isfinite(self.tau):
@@ -136,7 +144,7 @@ class CoherentParams:
         lam = scale_factor(case, e2, R, m)
         return cls(
             xi=complex(xi),
-            alpha=Fraction(alpha),
+            alpha=alpha,
             lambda_scale=lam,
             n_label=n,
             tau=tau,

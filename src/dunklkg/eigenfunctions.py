@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -44,8 +45,8 @@ __all__ = [
     "eigenfunction_x",
     "normalization",
     "ode_residual",
-    "ode_row_residual",
     "radial_envelope",
+    "row_residuals",
 ]
 
 _LN2 = math.log(2.0)
@@ -135,14 +136,19 @@ def ode_residual(
     if r_min <= 0:
         raise DomainError("grid must exclude r = 0")
     r = positive_grid(r_min, r_max, h)
-    return ode_row_residual(n, alpha, r, h, eigenfunction_r(n, alpha, r))
+    return row_residuals(n, alpha, r, h, eigenfunction_r(n, alpha, r))[1]
 
 
-def ode_row_residual(n: int, alpha: AlphaLike, r: np.ndarray, h: float, f: np.ndarray) -> float:
-    """``ode_residual`` of given samples ``f`` of F_n on the positive grid ``r`` (spacing h).
+def row_residuals(
+    n: int, alpha: AlphaLike, r: np.ndarray, h: float, f: np.ndarray
+) -> Tuple[float, float]:
+    """(Z3, ODE) residuals of given samples ``f`` of F_n on the positive grid ``r`` (spacing h).
 
-    The reduced equation's residual is i r times that of the Z3 eigenvalue
-    equation Z3 F = (k+n) F, so the operator is written once, in ``z3_values``.
+    With res = Z3 F - (k+n) F, the Z3 eigenvalue residual is
+    max |res| / max |F|.  The reduced equation's residual is i r times res,
+    so ``ode_residual`` is max |r res| / max |F| with the two samples nearest
+    each edge dropped.  The operator is written once, in ``z3_values``.
     """
-    res = r * (z3_values(f, r, h, alpha) - (bargmann_index(alpha) + n) * f)
-    return float(np.max(np.abs(res[2:-2])) / np.max(np.abs(f)))
+    res = z3_values(f, r, h, alpha) - (bargmann_index(alpha) + n) * f
+    scale = np.max(np.abs(f))
+    return float(np.max(np.abs(res)) / scale), float(np.max(np.abs((r * res)[2:-2])) / scale)

@@ -23,6 +23,7 @@ __all__ = [
     "CurvatureCase",
     "bargmann_index",
     "casimir_eigenvalue",
+    "half_odd_alpha",
     "parse_alpha",
     "parse_complex",
     "radial_coupling",
@@ -53,6 +54,18 @@ class CurvatureCase(enum.Enum):
             ) from None
 
 
+def half_odd_alpha(alpha: AlphaLike) -> Fraction:
+    """``alpha`` as an exact Fraction; the one check that it is a positive
+    half-odd integer (2j+1)/2."""
+    try:
+        value = Fraction(alpha)
+    except (ValueError, OverflowError):  # NaN, +-inf
+        value = Fraction(0)
+    if value <= 0 or value.denominator != 2:
+        raise DomainError(f"alpha must be a positive half-odd integer (2j+1)/2, got {alpha}")
+    return value
+
+
 _ALPHA_RE = re.compile(r"^(\d+)/2$")
 
 
@@ -65,10 +78,7 @@ def parse_alpha(text: str) -> Fraction:
     match = _ALPHA_RE.match(text.strip())
     if match is None:
         raise DomainError(f"cannot parse alpha from {text!r}; expected 'p/2' with odd p")
-    value = Fraction(int(match.group(1)), 2)
-    if value.denominator != 2:  # p even, including 0
-        raise DomainError(f"alpha must be a positive half-odd integer (2j+1)/2, got {value}")
-    return value
+    return half_odd_alpha(Fraction(int(match.group(1)), 2))
 
 
 def parse_complex(text: str) -> complex:

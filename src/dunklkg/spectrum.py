@@ -25,6 +25,7 @@ Reported energies E are principal roots of E^2, so Re(E) >= 0.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .model import (
     AlphaLike,
     CurvatureCase,
     bargmann_index,
+    half_odd_alpha,
     scale_factor,
 )
 
@@ -82,10 +84,7 @@ class EnergyPair:
 
 
 def _inner_s(alpha: AlphaLike) -> float:
-    a = float(alpha)
-    if a < 0.125:
-        raise DomainError("alpha must be >= 1/8 so that sqrt(2 alpha - 1/4) is real")
-    return (2.0 * a - 0.25) ** 0.5
+    return (2.0 * float(alpha) - 0.25) ** 0.5
 
 
 def _gaussian_pair(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
@@ -131,12 +130,18 @@ _CASE_DISPATCH = {
 
 
 def energy_pair(case: CurvatureCase, n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
-    """E^2 on each branch; the one check of the physical inputs R and m."""
+    """E^2 on each branch; the one check of the physical inputs alpha, R and m.
+
+    Raises OverflowError when E^2 on some branch is not finite.
+    """
     if n < 0:
         raise DomainError("quantum number n must be non-negative")
     if not (0.0 <= R < math.inf and 0.0 < m < math.inf):  # also rejects NaN
         raise DomainError(f"need finite R >= 0 and m > 0, got R={R}, m={m}")
-    return _CASE_DISPATCH[case](n, alpha, R, m)
+    pair = _CASE_DISPATCH[case](n, half_odd_alpha(alpha), R, m)
+    if not all(cmath.isfinite(e2) for _, e2 in pair.branches):
+        raise OverflowError(f"E^2 is not finite for n={n} at R={R}, m={m}")
+    return pair
 
 
 def self_consistency_residual(

@@ -22,14 +22,21 @@ double-precision round-off floor of the second-difference stencil
 (residual ~ eps * r^2 / h^2 relative to sup|F|).  Requested spacings are
 clamped up to documented minima for those checks only; the residual-bound
 checks always run at the requested spacing.
+
+The four grid checks read one sweep per spacing.  ``grid_sweep`` forms each
+eigenfunction row's residual Z3 F_n - (k+n) F_n once, which gives both the
+Z3 residual and the ODE residual (r times it), and ``run_verification``
+computes each spacing's sweep once per call: a default run sweeps the four
+grids h = 1e-3, 0.002, 0.004 and 0.008.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +52,7 @@ from .eigenfunctions import (
     eigenfunction_r,
     eigenfunction_rows,
     eigenfunction_x,
-    ode_row_residual,
+    row_residuals,
 )
 from .errors import DomainError
 from .gridops import (
@@ -55,7 +62,6 @@ from .gridops import (
     ladder_apply,
     positive_grid,
     z3_apply,
-    z3_values,
 )
 from .model import (
     CurvatureCase,
@@ -67,7 +73,7 @@ from .model import (
 from .refdata import compare_reference
 from .spectrum import energy_pair, relation_rhs, self_consistency_residual
 
-__all__ = ["run_verification", "report_to_json", "z3_eigenvalue_residual"]
+__all__ = ["grid_sweep", "run_verification", "report_to_json", "z3_eigenvalue_residual"]
 
 SWEEP_ALPHAS = (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2))
 SWEEP_N = range(6)  # from 0 and contiguous: the grid sweeps enumerate one F_n stream
@@ -93,8 +99,8 @@ def z3_eigenvalue_residual(
     h: float = 1e-3,
 ) -> float:
     """sup |Z3 F_n - (k+n) F_n| / sup |F_n| on the standard positive grid."""
-    grid = _checked_grid(r_min, r_max, h)
-    return z3_row_residual(n, alpha, grid, eigenfunction_r(n, alpha, grid.points))
+    r = _checked_grid(r_min, r_max, h).points
+    return row_residuals(n, alpha, r, h, eigenfunction_r(n, alpha, r))[0]
 
 
 def _checked_grid(r_min: float, r_max: float, h: float) -> GridFunction:
@@ -102,13 +108,6 @@ def _checked_grid(r_min: float, r_max: float, h: float) -> GridFunction:
     (uniform spacing, r >= h) once for every row evaluated on it."""
     r = positive_grid(r_min, r_max, h)
     return GridFunction(r, r, h, POSITIVE)
-
-
-def z3_row_residual(n: int, alpha, grid: GridFunction, f: np.ndarray) -> float:
-    """``z3_eigenvalue_residual`` of given samples ``f`` of F_n on the points of ``grid``."""
-    k = bargmann_index(alpha)
-    res = z3_values(f, grid.points, grid.h, alpha) - (k + n) * f
-    return float(np.max(np.abs(res)) / np.max(np.abs(f)))
 
 
 def _check(
@@ -169,55 +168,44 @@ def check_self_consistency() -> Dict:
     return _check("self_consistency", worst, 1e-8)
 
 
-def _sweep_rows(r: np.ndarray):
-    """(n, alpha, F_n samples on r) for the alpha x n sweep, one F_n stream per alpha."""
-    return (
-        (n, alpha, f)
+def grid_sweep(h: float) -> Tuple[float, float]:
+    """Worst (Z3, ODE) ``row_residuals`` of the alpha x n sweep on the standard grid
+    of spacing h; one F_n stream per alpha, one residual per row."""
+    r = _checked_grid(R_MIN, R_MAX, h).points
+    z3, ode = zip(*(
+        row_residuals(n, alpha, r, h, f)
         for alpha in SWEEP_ALPHAS
         for n, f in enumerate(eigenfunction_rows(max(SWEEP_N), alpha, r))
-    )
+    ))
+    return max(z3), max(ode)
 
 
-def _ode_sweep_max(h: float) -> float:
-    r = positive_grid(R_MIN, R_MAX, h)
-    return max(ode_row_residual(n, alpha, r, h, f) for n, alpha, f in _sweep_rows(r))
+# The grid checks take a ``sweep``: grid_sweep, or (in run_verification) a
+# cache of it that computes each spacing once.  _Z3, _ODE index its result.
+_Z3, _ODE = 0, 1
 
 
-def _z3_sweep_max(h: float) -> float:
-    grid = _checked_grid(R_MIN, R_MAX, h)
-    return max(z3_row_residual(n, alpha, grid, f) for n, alpha, f in _sweep_rows(grid.points))
-
-
-# a sweep maps a grid spacing h to the worst residual of the alpha x n sweep on that grid
-SweepMax = Callable[[float], float]
-
-
-def _residual_bound(name: str, sweep_max: SweepMax, h: float, tolerance: float) -> Dict:
-    return _check(name, sweep_max(h), tolerance, h=h)
-
-
-def _residual_convergence(name: str, sweep_max: SweepMax, h: float, h_min: float) -> Dict:
+def _residual_convergence(name: str, sweep: Callable, field: int, h: float, h_min: float) -> Dict:
     """Shrink factor of the sweep's worst residual from 2h to h, with h >= h_min."""
     h_fine = max(h, h_min)
-    coarse = sweep_max(2.0 * h_fine)
-    fine = sweep_max(h_fine)
-    return _check(name, coarse / fine, 8.0, "min", h_coarse=2.0 * h_fine, h_fine=h_fine)
+    ratio = sweep(2.0 * h_fine)[field] / sweep(h_fine)[field]
+    return _check(name, ratio, 8.0, "min", h_coarse=2.0 * h_fine, h_fine=h_fine)
 
 
-def check_ode_residual(h: float) -> Dict:
-    return _residual_bound("ode_residual", _ode_sweep_max, h, 1e-5)
+def check_ode_residual(sweep: Callable, h: float) -> Dict:
+    return _check("ode_residual", sweep(h)[_ODE], 1e-5, h=h)
 
 
-def check_ode_convergence(h: float) -> Dict:
-    return _residual_convergence("ode_convergence", _ode_sweep_max, h, ODE_CONV_H)
+def check_ode_convergence(sweep: Callable, h: float) -> Dict:
+    return _residual_convergence("ode_convergence", sweep, _ODE, h, ODE_CONV_H)
 
 
-def check_z3_eigenvalue(h: float) -> Dict:
-    return _residual_bound("z3_eigenvalue", _z3_sweep_max, h, 1e-4)
+def check_z3_eigenvalue(sweep: Callable, h: float) -> Dict:
+    return _check("z3_eigenvalue", sweep(h)[_Z3], 1e-4, h=h)
 
 
-def check_z3_convergence(h: float) -> Dict:
-    return _residual_convergence("z3_convergence", _z3_sweep_max, h, Z3_CONV_H)
+def check_z3_convergence(sweep: Callable, h: float) -> Dict:
+    return _residual_convergence("z3_convergence", sweep, _Z3, h, Z3_CONV_H)
 
 
 def check_series_agreement() -> Dict:
@@ -486,16 +474,18 @@ def run_verification(grid_h: float = 1e-3, suite: Optional[str] = None) -> Dict:
     """
     if not (0.0 < grid_h < math.inf):
         raise DomainError(f"grid_h must be positive and finite, got {grid_h}")
+    # the four grid checks share each spacing's sweep, within this call only
+    sweep = functools.cache(grid_sweep)
     check_builders: List[tuple] = [
         ("casimir_identity", check_casimir_identity),
         ("sigma_identity", check_sigma_identity),
         ("table1_reproduction", lambda: check_table("table1")),
         ("table2_reproduction", lambda: check_table("table2")),
         ("self_consistency", check_self_consistency),
-        ("ode_residual", lambda: check_ode_residual(grid_h)),
-        ("ode_convergence", lambda: check_ode_convergence(grid_h)),
-        ("z3_eigenvalue", lambda: check_z3_eigenvalue(grid_h)),
-        ("z3_convergence", lambda: check_z3_convergence(grid_h)),
+        ("ode_residual", lambda: check_ode_residual(sweep, grid_h)),
+        ("ode_convergence", lambda: check_ode_convergence(sweep, grid_h)),
+        ("z3_eigenvalue", lambda: check_z3_eigenvalue(sweep, grid_h)),
+        ("z3_convergence", lambda: check_z3_convergence(sweep, grid_h)),
         ("coherent_series_agreement", check_series_agreement),
         ("xi_zero_reduction", check_xi_zero_reduction),
         ("tau_zero_reduction", check_tau_zero_reduction),

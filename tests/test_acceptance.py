@@ -102,16 +102,16 @@ def test_criterion_04_self_consistency():
 
 def test_criterion_05_ode_residuals():
     detail = " ".join([
-        pinned(verify.check_ode_residual(1e-3), 1e-5, h=1e-3),
-        pinned(verify.check_ode_convergence(1e-3), 8.0, "min", h_coarse=0.008, h_fine=0.004),
+        pinned(verify.check_ode_residual(verify.grid_sweep, 1e-3), 1e-5, h=1e-3),
+        pinned(verify.check_ode_convergence(verify.grid_sweep, 1e-3), 8.0, "min", h_coarse=0.008, h_fine=0.004),
     ])
     announce(5, "ODE residual < 1e-5 at h=1e-3 and 4th-order h->h/2 shrink >= 8x,", detail=detail)
 
 
 def test_criterion_06_z3_eigenvalue():
     detail = " ".join([
-        pinned(verify.check_z3_eigenvalue(1e-3), 1e-4, h=1e-3),
-        pinned(verify.check_z3_convergence(1e-3), 8.0, "min", h_coarse=0.004, h_fine=0.002),
+        pinned(verify.check_z3_eigenvalue(verify.grid_sweep, 1e-3), 1e-4, h=1e-3),
+        pinned(verify.check_z3_convergence(verify.grid_sweep, 1e-3), 8.0, "min", h_coarse=0.004, h_fine=0.002),
     ])
     announce(6, "Z3 eigenvalue residual < 1e-4 at h=1e-3 and h->h/2 shrink >= 8x,", detail=detail)
 

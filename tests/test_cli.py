@@ -299,6 +299,25 @@ def test_unallocatable_grid_exits_1_with_one_line_message(runner, args):
     assert res.stderr.count("\n") == 1
 
 
+# E^2 = m^2 - 8R(...)^2 (or its rational/sinc analogue) overflows to infinity
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--alpha", "1/2", "--R", "1e308"],
+        ["spectrum", "--case", "rational", "--alpha", "1/2", "--R", "1e307", "--m", "1e200"],
+        ["spectrum", "--case", "sinc", "--alpha", "1/2", "--R", "1e307", "--m", "1e200"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_overflowing_spectrum_exits_1_with_one_line_message(runner, args):
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: E^2 is not finite")
+    assert res.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from dunklkg import (
+    CoherentParams,
     CurvatureCase,
     DegenerateError,
     DomainError,
     bargmann_index,
+    build_profile,
     casimir_eigenvalue,
     energy_pair,
     parse_alpha,
@@ -64,6 +66,23 @@ def test_energy_pair_validates_R_and_m():
         for m in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="need finite R >= 0 and m > 0"):
                 energy_pair(case, 0, Fraction(1, 2), 1.0, m)
+
+
+def test_alpha_rule_applies_in_the_library():
+    # the rule parse_alpha applies to the CLI's text holds for library callers too
+    gaussian = CurvatureCase.GAUSSIAN
+    calls = (
+        lambda a: energy_pair(gaussian, 0, a, 1.0, 1.0),
+        lambda a: CoherentParams.for_case(gaussian, a, 0, 0.3),
+        lambda a: build_profile(gaussian, a, 0, 0.3),
+        lambda a: CoherentParams(xi=0.3, alpha=a, lambda_scale=1.0),
+    )
+    for call in calls:
+        for alpha in (Fraction(1, 3), 0.3, 1, 0, Fraction(-1, 2)):
+            with pytest.raises(DomainError, match="positive half-odd integer"):
+                call(alpha)
+        for alpha in (Fraction(1, 2), 0.5):
+            call(alpha)
 
 
 # --- algebra constants ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Spectrum formulas, published-table regression, and branch diagnostics."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from dunklkg import (
     CurvatureCase,
     DegenerateError,
+    EnergyPair,
+    SpectrumTable,
     compare_reference,
     energy_pair,
     self_consistency_residual,
@@ -232,8 +235,9 @@ def test_table_writers_equal_stdlib(case):
 
 
 def test_table_json_non_finite_and_empty_equal_stdlib():
-    # an overflowing curvature gives infinite energies, which json.dumps spells Infinity
-    huge = spectrum_table(CurvatureCase.GAUSSIAN, [Fraction(1, 2)], 1, 1e308, 1.0)
+    # an infinite energy (energy_pair refuses to compute one), which json.dumps spells Infinity
+    pair = EnergyPair(0, complex(math.inf, -math.inf))
+    huge = SpectrumTable(CurvatureCase.GAUSSIAN, 1e308, 1.0, ((Fraction(1, 2), 0, pair),))
     assert table_to_json(huge) == json.dumps(_rows(huge), indent=2) + "\n"
     assert "Infinity" in table_to_json(huge)
     empty = spectrum_table(CurvatureCase.SINC, [], 1, 1.0, 1.0)

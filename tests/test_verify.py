@@ -4,7 +4,8 @@ per-sample definitions, and verify's BLAS-free reductions against BLAS.
 The sweeps stream F_0 .. F_5 once per (alpha, grid) and the random checks
 draw all their samples in one ``rng.uniform`` call; both must give exactly
 (``==``) the records that the public per-n residual functions and one
-``rng.uniform`` call per real or imaginary part give.
+``rng.uniform`` call per real or imaginary part give.  Each grid is swept
+once per ``run_verification`` call and never shared between calls.
 
 The Perelomov series and the ladder projection sum in plain numpy, with no
 BLAS call, because BLAS worker threads keep spinning after each call and
@@ -51,7 +52,7 @@ def test_residual_bounds_equal_the_per_n_maxima():
         (verify.check_ode_residual, ode_residual),
         (verify.check_z3_eigenvalue, z3_eigenvalue_residual),
     ):
-        record = check(1e-3)
+        record = check(verify.grid_sweep, 1e-3)
         assert record["measured"] == sweep_max(residual, record["h"])
 
 
@@ -60,10 +61,31 @@ def test_convergence_ratios_equal_the_per_n_ratios():
         (verify.check_ode_convergence, ode_residual),
         (verify.check_z3_convergence, z3_eigenvalue_residual),
     ):
-        record = check(1e-3)
+        record = check(verify.grid_sweep, 1e-3)
         coarse = sweep_max(residual, record["h_coarse"])
         fine = sweep_max(residual, record["h_fine"])
         assert record["measured"] == coarse / fine
+
+
+def test_each_spacing_is_swept_once_per_run(monkeypatch):
+    swept = []
+
+    def counting(h):
+        swept.append(h)
+        return original(h)
+
+    original = verify.grid_sweep
+    monkeypatch.setattr(verify, "grid_sweep", counting)
+    verify.run_verification()
+    assert sorted(swept) == [1e-3, 0.002, 0.004, 0.008]
+    verify.run_verification()  # a new run computes its sweeps again
+    assert len(swept) == 8
+    swept.clear()
+    verify.run_verification(grid_h=0.002)  # z3_eigenvalue and z3_convergence share h = 0.002
+    assert sorted(swept) == [0.002, 0.004, 0.008]
+    swept.clear()
+    verify.run_verification(suite="ode_residual")
+    assert swept == [1e-3]
 
 
 def per_sample_draws(record, low, high, per_sample=1):
