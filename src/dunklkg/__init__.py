@@ -47,7 +47,6 @@ from .errors import (
 )
 from .gridops import (
     GridFunction,
-    commutator_apply,
     derivative_4th,
     dunkl_apply,
     ladder_apply,

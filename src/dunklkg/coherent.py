@@ -208,13 +208,14 @@ def suggested_series_terms(params: CoherentParams, x_max: float) -> int:
 def coherent_series(x, params: CoherentParams, n_terms: Optional[int] = None):
     """Truncated Perelomov displacement series over the eigenfunctions.
 
-    Every term N_n F_n(Lambda x^2) shares the factor r^(sigma+1/2) e^(-ir/2)
-    at r = Lambda x^2, so one Laguerre pass streams L_n(i r) up to the
-    last term, each row is added in with its weight w_n = c_n xi^n N_n as
-    it comes (no table of rows, no matrix product), and the sum is times
-    that shared factor.  The coefficients
-    c_n = sqrt(Gamma(n+2k)/(n! Gamma(2k))) are computed in log space
-    (analytic log-gamma) so their branch stays continuous in n.  With
+    The term sqrt(Gamma(n+2k)/(n! Gamma(2k))) xi^n N_n F_n(Lambda x^2) has
+    weight xi^n N_0: sigma = k - 1/2 makes N_n = N_0 sqrt(n! Gamma(2k) /
+    Gamma(n+2k)), so the displacement coefficient and N_n cancel to N_0 for
+    every n, and the sum is the Laguerre generating function (DLMF 18.12.13)
+    times one constant.  Every F_n shares the factor r^(sigma+1/2) e^(-ir/2)
+    at r = Lambda x^2, so one Laguerre pass streams L_n(i r) up to the last
+    term, each row is added in times xi^n as it comes (no table of rows, no
+    matrix product), and the sum is times that shared factor and N_0.  With
     ``n_terms`` None the tail bound picks the count for the given grid.
     """
     scalar = np.ndim(x) == 0
@@ -224,19 +225,15 @@ def coherent_series(x, params: CoherentParams, n_terms: Optional[int] = None):
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     alpha, lam = params.alpha, params.lambda_scale
-    k = bargmann_index(alpha)
-    two_k = 2.0 * k
-    lg_2k = log_gamma(two_k)
     r = lam * x_arr**2
-    rows = laguerre_rows(n_terms - 1, 2.0 * sigma_index(alpha), 1j * r)
     total = np.zeros(x_arr.shape, dtype=complex)
     xi_pow = 1.0 + 0.0j
-    for n, row in enumerate(rows):
-        coeff = cmath.exp(0.5 * (log_gamma(n + two_k) - math.lgamma(n + 1) - lg_2k)) * xi_pow
-        total += (coeff * normalization(n, alpha, lam)) * row
+    for row in laguerre_rows(n_terms - 1, 2.0 * sigma_index(alpha), 1j * r):
+        total += xi_pow * row
         xi_pow *= params.xi
     total *= radial_envelope(alpha, r)
-    total *= cmath.exp(k * math.log1p(-abs(params.xi) ** 2))
+    k = bargmann_index(alpha)
+    total *= normalization(0, alpha, lam) * cmath.exp(k * math.log1p(-abs(params.xi) ** 2))
     if scalar:
         return complex(total[0])
     return total
@@ -258,15 +255,22 @@ def coherent_evolved(x, params: CoherentParams):
     return phase * _closed_form(x, params.alpha, params.lambda_scale, rotated)
 
 
+def _require_window(x_min: float, x_max: float) -> None:
+    if not (0.0 < x_min < x_max < math.inf):
+        raise DomainError(
+            f"density grid must be finite with 0 < x_min < x_max, got [{x_min}, {x_max}]"
+        )
+
+
 def _normalized_density(x_arr: np.ndarray, params: CoherentParams, evolved: bool):
     """Amplitudes, normalized density, and the raw trapezoidal integral."""
-    if x_arr.size < 2 or not (0.0 < x_arr[0] < x_arr[-1] < math.inf):
-        raise DomainError(
-            f"density grid must be finite with 0 < x_min < x_max, got [{x_arr[0]}, {x_arr[-1]}]"
-        )
-    values = coherent_evolved(x_arr, params) if evolved else coherent_closed_form(x_arr, params)
-    dens = np.abs(values) ** 2
-    integral = float(np.trapezoid(dens, x_arr))
+    if x_arr.size < 2:
+        raise DomainError(f"density grid needs at least 2 points, got {x_arr.size}")
+    _require_window(x_arr[0], x_arr[-1])
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite integral
+        values = coherent_evolved(x_arr, params) if evolved else coherent_closed_form(x_arr, params)
+        dens = np.abs(values) ** 2
+        integral = float(np.trapezoid(dens, x_arr))
     if not math.isfinite(integral) or integral < 1e-300:
         raise NormalizationError(f"raw density integral {integral} cannot be normalized")
     return values, dens / integral, integral
@@ -385,6 +389,7 @@ def build_profile(
         case, alpha, n, xi, R=R, m=m, branch=branch, tau=tau, phase_convention=phase_convention
     )
     require_memory(points, _PROFILE_BYTES_PER_POINT)
+    _require_window(x_min, x_max)  # before linspace, which turns infinities into nan
     x_arr = np.linspace(x_min, x_max, points)
     values, dens, integral = _normalized_density(x_arr, params, evolved)
     warning = None

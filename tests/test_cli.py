@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -316,6 +317,34 @@ def test_overflowing_spectrum_exits_1_with_one_line_message(runner, args):
     assert res.stdout == ""
     assert res.stderr.startswith("error: E^2 is not finite")
     assert res.stderr.count("\n") == 1
+
+
+# A window with an infinite end is refused before np.linspace (which would
+# warn and turn it into nan); a finite window whose density overflows fails
+# the normalization.  Numpy warnings are errors here, so none may be raised.
+@pytest.mark.parametrize(
+    "window, code, message",
+    [
+        (["--x-max", "inf"], 2,
+         "Error: density grid must be finite with 0 < x_min < x_max, got [0.01, inf]"),
+        (["--x-min", "-inf"], 2,
+         "Error: density grid must be finite with 0 < x_min < x_max, got [-inf, 2.0]"),
+        (["--x-max", "1e308"], 1, "error: raw density integral nan cannot be normalized"),
+    ],
+    ids=["x-max inf", "x-min -inf", "x-max 1e308"],
+)
+def test_unusable_density_window_gives_one_line_and_no_warning(runner, window, code, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(cli, ["density", "--alpha", "1/2", "--xi", "0.3", *window])
+    assert res.exit_code == code
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    if code == 1:
+        assert res.stderr == message + "\n"
+    else:  # click's usage preamble, then the one message line
+        assert [line for line in res.stderr.splitlines() if line.startswith("Error")] == [message]
+        assert res.stderr.endswith(message + "\n")
 
 
 @pytest.mark.parametrize(

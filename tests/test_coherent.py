@@ -24,8 +24,11 @@ from dunklkg import (
     density_profile,
     eigenfunction_x,
     gridops,
+    log_gamma,
+    normalization,
     profiles_to_json,
     suggested_series_terms,
+    verify,
 )
 from dunklkg.coherent import _CSV_BLOCK_ROWS, _PROFILE_BYTES_PER_POINT
 
@@ -115,6 +118,32 @@ def test_series_self_convergence():
     a = coherent_series(X_GRID, params, n_terms=60)
     b = coherent_series(X_GRID, params, n_terms=80)
     assert np.max(np.abs(a - b)) / np.max(np.abs(b)) < 1e-8
+
+
+N0_SCALES = [
+    (case, branch)
+    for case in CurvatureCase
+    for branch in ((None,) if case is CurvatureCase.GAUSSIAN else ("plus", "minus"))
+]
+
+
+@pytest.mark.parametrize("case, branch", N0_SCALES, ids=lambda v: getattr(v, "value", v))
+@pytest.mark.parametrize("alpha", verify.SWEEP_ALPHAS, ids=str)
+def test_series_weight_times_normalization_is_n0_normalization(case, branch, alpha):
+    # coherent_series weights every term by N_0 alone: the displacement
+    # coefficient sqrt(Gamma(n+2k)/(n! Gamma(2k))) times N_n is N_0 for every
+    # n up to the 600-term clamp, which also reaches log_gamma's large-n path
+    lam = CoherentParams.for_case(case, alpha, 0, 0.0, branch=branch).lambda_scale
+    two_k = 2.0 * bargmann_index(alpha)
+    n0 = normalization(0, alpha, lam)
+    worst = max(
+        abs(
+            cmath.exp(0.5 * (log_gamma(n + two_k) - math.lgamma(n + 1) - log_gamma(two_k)))
+            * normalization(n, alpha, lam) - n0
+        )
+        for n in range(600)
+    )
+    assert worst <= 1e-12 * abs(n0)
 
 
 def test_suggested_terms_scales_with_xi():

@@ -13,11 +13,19 @@ bill verify about twice its wall time in CPU.  Here they are held to the
 matrix-product and least-squares forms they replace, at tolerances fixed
 from the reassociated sums, and an ``ast`` scan keeps BLAS out of the two
 modules.
+
+A subprocess run with numpy's AVX2 and AVX-512 kernels disabled must give
+the same records wherever the report does not depend on SIMD dispatch.
 """
 
 import ast
 import cmath
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +146,19 @@ def test_pow_identities_equal_per_sample_draws():
     assert record["measured"] == worst
 
 
+def test_gamma_reflection_equals_choice_draws():
+    # the sign comes from rng.integers(0, 2), the draw rng.choice([-1, 1]) makes
+    record = verify.check_gamma_reflection()
+    rng = np.random.default_rng(record["seed"])
+    worst = 0.0
+    for _ in range(record["samples"]):
+        z = complex(rng.uniform(-5.0, 5.0), rng.choice([-1, 1]) * rng.uniform(0.1, 10.0))
+        lhs = complexfn.gamma(z) * complexfn.gamma(1.0 - z)
+        rhs = math.pi / complex(np.sin(math.pi * z))
+        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    assert record["measured"] == worst
+
+
 # --- BLAS-free reductions against their BLAS forms -------------------------------
 
 def lstsq_projection(alpha, sign):
@@ -161,7 +182,8 @@ def test_ladder_projection_equals_lstsq(alpha):
 
 
 def series_by_contraction(x, params):
-    """``coherent_series`` as the weight vector times a ``laguerre_sequence`` table."""
+    """``coherent_series`` as the weights c_n xi^n N_n, each written out, times a
+    ``laguerre_sequence`` table."""
     alpha, lam, xi = params.alpha, params.lambda_scale, params.xi
     n_terms = suggested_series_terms(params, float(np.max(x)))
     two_k = 2.0 * bargmann_index(alpha)
@@ -200,3 +222,42 @@ def test_no_blas_call_in_verify_path(module):
         or isinstance(node, ast.alias) and node.name.split(".")[-1] in BLAS_ATTRIBUTES
     ]
     assert not found, f"{module}: BLAS call or import at lines {found}"
+
+
+# --- records that do not depend on numpy's SIMD dispatch ---------------------------
+
+# Checks and diagnostics whose records are the same whichever SIMD kernels
+# numpy dispatches; the grid, series and density-valued records still move
+# in their last digits without AVX2 (real exp, complex abs, real power).
+DISPATCH_INVARIANT = (
+    "casimir_identity", "sigma_identity", "table1_reproduction", "table2_reproduction",
+    "self_consistency", "tau_zero_reduction", "laguerre_recurrence", "gamma_recurrence",
+    "gamma_reflection", "sqrt_square_roundtrip", "pow_identities",
+    "density_peak_vs_n", "density_peak_vs_alpha", "self_consistency_strict_principal_max",
+)
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="NPY_DISABLE_CPU_FEATURES names x86 feature groups",
+)
+def test_dispatch_invariant_records_equal_without_avx2():
+    src = Path(verify.__file__).parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import json; from dunklkg import verify; print(json.dumps(verify.run_verification()))"
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    report = verify.run_verification()
+
+    def invariant(rep):
+        return {
+            rec["name"]: rec
+            for rec in rep["checks"] + rep["diagnostics"]
+            if rec["name"] in DISPATCH_INVARIANT
+        }
+
+    native = invariant(report)
+    assert sorted(native) == sorted(DISPATCH_INVARIANT)
+    assert invariant(json.loads(child.stdout)) == json.loads(json.dumps(native))
