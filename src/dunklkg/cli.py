@@ -39,7 +39,12 @@ def _parse_n_list(spec: str) -> List[int]:
             lo_i, hi_i = int(lo), int(hi)
             if hi_i < lo_i:
                 raise ValueError("empty range")
-            values = list(range(lo_i, hi_i + 1))
+            try:
+                values = list(range(lo_i, hi_i + 1))
+            except MemoryError:  # CPython's failed allocation carries no message
+                raise MemoryError(
+                    f"n range {spec!r} has {hi_i - lo_i + 1} entries, too many to hold in memory"
+                ) from None
         else:
             values = [int(tok) for tok in spec.split(",") if tok.strip()]
         if not values:
@@ -51,14 +56,16 @@ def _parse_n_list(spec: str) -> List[int]:
         raise click.UsageError(f"bad n specification {spec!r}: {exc}") from exc
 
 
-def _parse_tau_list(spec: str) -> List[float]:
+def _parse_list(name: str, spec: str, parse) -> list:
+    """A comma list; an empty one, or an entry ``parse`` rejects with
+    ValueError, is a usage error."""
     try:
-        values = [float(tok) for tok in spec.split(",") if tok.strip()]
+        values = [parse(tok) for tok in spec.split(",") if tok.strip()]
         if not values:
             raise ValueError("no entries")
         return values
     except ValueError as exc:
-        raise click.UsageError(f"bad tau specification {spec!r}: {exc}") from exc
+        raise click.UsageError(f"bad {name} specification {spec!r}: {exc}") from exc
 
 
 def _numeric(vals: dict, key: str, kind=float):
@@ -139,10 +146,10 @@ def _exit_codes(command):
     """The CLI's one error boundary: bad input exits 2, a failed computation exits 1.
 
     NormalizationError, ValueError, OverflowError and MemoryError (a grid
-    larger than the machine can hold) are failed computations and print
-    ``error: ...``; every other DunklKGError, and an OSError from an
-    unreadable --config or unwritable -o path, is bad input and becomes a
-    usage error.  A closed stdout pipe is left to click, which exits 1
+    or n range larger than the machine can hold) are failed computations
+    and print ``error: ...``; every other DunklKGError, and an OSError from
+    an unreadable --config or unwritable -o path, is bad input and becomes
+    a usage error.  A closed stdout pipe is left to click, which exits 1
     quietly.
     """
 
@@ -194,7 +201,7 @@ def cmd_spectrum(case_name, alpha_text, n_spec, curvature, mass, fmt, config_pat
         format=fmt or _default_format(),
     )
     case = CurvatureCase.from_name(vals["case"])
-    alphas = [parse_alpha(tok) for tok in vals["alpha"].split(",") if tok.strip()]
+    alphas = _parse_list("alpha", vals["alpha"], parse_alpha)
     n_list = _parse_n_list(vals["n"])
     table = spectrum_table(case, alphas, n_list, _numeric(vals, "R"), _numeric(vals, "m"))
     text = table_to_csv(table) if vals["format"] == "csv" else table_to_json(table)
@@ -278,7 +285,7 @@ def _profile_command(evolved: bool):
         alpha = parse_alpha(vals["alpha"])
         xi = parse_complex(vals["xi"])
         n_list = _parse_n_list(vals["n"])
-        tau_list = _parse_tau_list(vals["tau"])
+        tau_list = _parse_list("tau", vals["tau"], float)
         R, m = _numeric(vals, "R"), _numeric(vals, "m")
         profiles = [
             build_profile(
@@ -318,8 +325,10 @@ cmd_evolve.help = "Emit time-evolved normalized density profiles."
 def cmd_verify(suite, grid_h, output):
     """Run the verification suite; exit 0 iff every assertable check passes.
 
-    Measured-only diagnostics (commutators, ladder collinearity, peak
-    trends) are included in the JSON report but never affect the exit code.
+    Measured-only diagnostics (the su(1,1) commutator relations and ladder
+    action of Z3 and T+-, density-peak trends, the strict-principal
+    residual) are included in the JSON report but never affect the exit
+    code.
     """
     report = run_verification(grid_h=grid_h, suite=suite)
     _emit(report_to_json(report), output)

@@ -39,7 +39,8 @@ POSITIVE = "positive"
 _UNIFORM_TOL = 1e-12
 _MIN_POINTS = 9
 # peak bytes per point of the heaviest positive-grid user, verify's
-# commutator diagnostics (262 measured with tracemalloc)
+# commutator diagnostics (262 measured with tracemalloc; the ladder
+# diagnostics peak at 152, a verify grid sweep at 151)
 _POSITIVE_GRID_BYTES_PER_POINT = 288
 
 
@@ -197,15 +198,22 @@ def z3_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
 
 
 def ladder_apply(sign: int, gf: GridFunction, alpha: AlphaLike) -> GridFunction:
-    """Ladder operator D_+- f = -+ r f' + (i/2) r f + Z3 f.
+    """Ladder operator T_+- f = -+ r f' + (i/2) r f - Z3 f.
 
-    ``sign`` is +1/-1 selecting D_plus / D_minus.
+    ``sign`` is +1/-1 selecting T_plus / T_minus.  With Z3 these close the
+    su(1,1) algebra, [Z3, T_+-] = +-T_+- and [T_+, T_-] = -2 Z3, and act on
+    the eigenfunctions as the Laguerre ladder (DLMF 18.9):
+    T_+ F_n = -(n+1) F_{n+1} and T_- F_n = -(n+2k-1) F_{n-1}, T_- F_0 = 0.
+    Relative to D_+- = -+ r f' + (i/2) r f + Z3 f, which this function
+    applied before and which closes no such algebra, T_+- = D_+- - 2 Z3.
+    The paper's printed relations, [Z3, D+] = -D+, [Z3, D-] = +D- and
+    [D+, D-] = 2 Z3, hold for T_-+ (its D+ is T_-, its D- is T_+).
     """
     _require(gf, POSITIVE, "ladder_apply")
     if sign not in (1, -1):
         raise GridError(f"ladder sign must be +1 or -1, got {sign!r}")
-    s = -float(sign)  # D_plus carries -r d/dr
+    s = -float(sign)  # T_plus carries -r d/dr
     r = gf.points
     d1 = derivative_4th(gf.values, gf.h)
     z3 = z3_values(gf.values, r, gf.h, alpha)
-    return gf.with_values(s * r * d1 + 0.5j * r * gf.values + z3)
+    return gf.with_values(s * r * d1 + 0.5j * r * gf.values - z3)

@@ -1,15 +1,11 @@
 """Verification suite: assertable invariants plus measured-only diagnostics.
 
 Assertable checks carry a tolerance and a pass/fail status; diagnostics
-are reported with status ``measured`` and never gate anything.  The
-measured-only set exists because the printed su(1,1) commutator relations
-are internally inconsistent with the operator definitions: direct
-computation gives
-
-    [Z3, D+-] = +-(D+- - 2 Z3),      [D+, D-] = 2 Z3 - 2 i r,
-
-so the suite reports residuals against both the printed and the derived
-right-hand sides instead of asserting either.
+are reported with status ``measured`` and never gate anything.  Among the
+diagnostics, the su(1,1) algebra of Z3 and the ladder pair T+- of
+``gridops.ladder_apply`` is measured at h = DIAGNOSTIC_H: one residual per
+commutator relation, [Z3, T+-] = +-T+- and [T+, T-] = -2 Z3, and one per
+direction of the ladder action on F_0 .. F_2.
 
 Each assertable record also carries the inputs that fix what it measured:
 the grid spacing ``h`` of the residual bounds, ``h_coarse``/``h_fine`` of
@@ -86,6 +82,8 @@ R_MIN, R_MAX = 0.1, 20.0
 SERIES_X = np.linspace(0.01, 1.2, 120)
 DENSITY_X = np.linspace(0.01, 2.0, 400)
 
+# spacing of the su(1,1) commutator and ladder diagnostics
+DIAGNOSTIC_H = 0.002
 # minimum spacings for the h -> h/2 convergence diagnostics (see module doc)
 ODE_CONV_H = 0.004
 Z3_CONV_H = 0.002
@@ -320,103 +318,66 @@ def check_pow_identities() -> Dict:
 # measured-only diagnostics
 # ---------------------------------------------------------------------------
 
-def _operator_set(alpha, h: float = 0.002):
-    """The grid, F_0 .. F_2 from one pass, F_0 as a GridFunction, and Z3, D+, D-."""
-    r = positive_grid(R_MIN, R_MAX, h)
-    f = list(eigenfunction_rows(2, alpha, r))
-    base = GridFunction(r, f[0], h, POSITIVE)
+def _diagnostic_rows(alpha) -> List[GridFunction]:
+    """F_0 .. F_2 from one pass on the standard grid of spacing DIAGNOSTIC_H."""
+    r = _checked_grid(R_MIN, R_MAX, DIAGNOSTIC_H)
+    return [r.with_values(f) for f in eigenfunction_rows(2, alpha, r.points)]
 
-    def z3(gf):
-        return z3_apply(gf, alpha)
 
-    def dplus(gf):
-        return ladder_apply(+1, gf, alpha)
-
-    def dminus(gf):
-        return ladder_apply(-1, gf, alpha)
-
-    return r, f, base, z3, dplus, dminus
+def _rel(residual: np.ndarray, scale: np.ndarray) -> float:
+    """sup |residual| / sup |scale| over the interior margin (8 samples per
+    edge), where the composed stencils are clean."""
+    return float(np.max(np.abs(residual[8:-8])) / np.max(np.abs(scale[8:-8])))
 
 
 def diagnostics_commutators(alpha=Fraction(1, 2)) -> List[Dict]:
-    """Residuals of the measured commutators against printed and derived forms.
+    """Residuals of the su(1,1) relations [Z3, T+-] = +-T+- and [T+, T-] = -2 Z3.
 
-    Measured on a generic mixture F_0 + F_1 + F_2 (a single eigenfunction
-    would make some candidate right-hand sides vanish identically and the
-    comparison degenerate).  Norms are sup over an interior margin (8
-    samples per edge, where the composed stencils are clean) relative to
-    sup of the measured commutator.
+    Measured on the mixture F_0 + F_1 + F_2 (on one eigenfunction Z3 acts
+    as a number and the relations degenerate), relative to sup of the
+    commutator.  Each operator acts on the mixture once, and
+    [A, B] f = A(B f) - B(A f) composes those results.
     """
-    r, f, base, z3, dplus, dminus = _operator_set(alpha)
-    mixture = base.with_values(f[0] + f[1] + f[2])
-    sl = slice(8, -8)
-
-    def rel(measured, reference):
-        return float(
-            np.max(np.abs((measured - reference)[sl])) / np.max(np.abs(measured[sl]))
-        )
-
-    # each operator acts on the mixture once; [A, B] f = A(B f) - B(A f)
-    # composes those results, 9 operator applications for the three pairs
-    z3m, dpm, dmm = z3(mixture), dplus(mixture), dminus(mixture)
-    z3f, dpf, dmf = z3m.values, dpm.values, dmm.values
-    com_zp = z3(dpm).values - dplus(z3m).values
-    com_zm = z3(dmm).values - dminus(z3m).values
-    com_pm = dplus(dmm).values - dminus(dpm).values
+    f = _diagnostic_rows(alpha)
+    mixture = f[0].with_values(f[0].values + f[1].values + f[2].values)
+    z3 = z3_apply(mixture, alpha)
+    tp, tm = ladder_apply(+1, mixture, alpha), ladder_apply(-1, mixture, alpha)
+    com_zp = z3_apply(tp, alpha).values - ladder_apply(+1, z3, alpha).values
+    com_zm = z3_apply(tm, alpha).values - ladder_apply(-1, z3, alpha).values
+    com_pm = ladder_apply(+1, tm, alpha).values - ladder_apply(-1, tp, alpha).values
     return [
-        _diagnostic(
-            "commutator_z3_dplus",
-            {"vs_printed_minus_dplus": rel(com_zp, -dpf),
-             "vs_derived_dplus_minus_2z3": rel(com_zp, dpf - 2.0 * z3f)},
-        ),
-        _diagnostic(
-            "commutator_z3_dminus",
-            {"vs_printed_plus_dminus": rel(com_zm, dmf),
-             "vs_derived_2z3_minus_dminus": rel(com_zm, 2.0 * z3f - dmf)},
-        ),
-        _diagnostic(
-            "commutator_dplus_dminus",
-            {"vs_printed_2z3": rel(com_pm, 2.0 * z3f),
-             "vs_derived_2z3_minus_2ir": rel(com_pm, 2.0 * z3f - 2j * r * mixture.values)},
-        ),
+        _diagnostic(name, _rel(residual, com), h=DIAGNOSTIC_H)
+        for name, residual, com in (
+            ("commutator_z3_tplus", com_zp - tp.values, com_zp),
+            ("commutator_z3_tminus", com_zm + tm.values, com_zm),
+            ("commutator_tplus_tminus", com_pm + 2.0 * z3.values, com_pm),
+        )
     ]
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.sum(a.conj() * b))
-
-
-def _sum_sq(v: np.ndarray) -> float:
-    return float(np.sum(v.real**2 + v.imag**2))
-
-
 def diagnostics_ladder(alpha=Fraction(1, 2)) -> List[Dict]:
-    """Least-squares projection residual of D+- F_0 onto span{F_0, F_1}.
+    """Residuals of the ladder action on F_0 .. F_2:
+    T+ F_n = -(n+1) F_{n+1} and T- F_n = -(n+2k-1) F_{n-1}, with T- F_0 = 0.
 
-    The coefficients solve the 2x2 normal equations of the basis by
-    Cramer's rule, and the residual is a ratio of root sums of squares;
-    both are plain reductions, so no BLAS call wakes its worker threads.
+    Each record is the worst over n of sup |T+- F_n - rhs| / sup |F_n|, the
+    normalisation of the Z3 residual.
     """
-    _r, f, base, _z3, dplus, dminus = _operator_set(alpha)
-    sl = slice(8, -8)
-    f0, f1 = f[0][sl], f[1][sl]
-    g00, g11 = _sum_sq(f0), _sum_sq(f1)
-    g01 = _inner(f0, f1)
-    det = g00 * g11 - abs(g01) ** 2
-    out = []
-    for name, op in (("plus", dplus), ("minus", dminus)):
-        y = op(base).values[sl]
-        p, q = _inner(f0, y), _inner(f1, y)
-        coef = ((g11 * p - g01 * q) / det, (g00 * q - g01.conjugate() * p) / det)
-        resid = math.sqrt(_sum_sq(y - coef[0] * f0 - coef[1] * f1) / _sum_sq(y))
-        out.append(
-            _diagnostic(
-                f"ladder_collinearity_{name}",
-                resid,
-                projection_coefficients=[[c.real, c.imag] for c in coef],
-            )
-        )
-    return out
+    rows = _diagnostic_rows(alpha)
+    f = [row.values for row in rows]
+    below = [0.0] + f  # below[n] is F_{n-1}, and F_{-1} = 0
+    k = bargmann_index(alpha)
+    plus = max(
+        _rel(ladder_apply(+1, rows[n], alpha).values + (n + 1) * f[n + 1], f[n])
+        for n in range(2)
+    )
+    minus = max(
+        _rel(ladder_apply(-1, rows[n], alpha).values + (n + 2 * k - 1) * below[n], f[n])
+        for n in range(3)
+    )
+    return [
+        _diagnostic("ladder_action_plus", plus, h=DIAGNOSTIC_H),
+        _diagnostic("ladder_action_minus", minus, h=DIAGNOSTIC_H),
+    ]
 
 
 def diagnostics_peak_trend() -> List[Dict]:
@@ -500,7 +461,7 @@ def run_verification(grid_h: float = 1e-3, suite: Optional[str] = None) -> Dict:
     # diagnostic builders may emit several records each
     diagnostic_builders: List[tuple] = [
         ("commutator", diagnostics_commutators),
-        ("ladder_collinearity", diagnostics_ladder),
+        ("ladder_action", diagnostics_ladder),
         ("density_peak", diagnostics_peak_trend),
         ("self_consistency_strict_principal", diagnostics_strict_principal),
     ]

@@ -163,17 +163,36 @@ def test_criterion_10_special_function_suite():
              detail=detail)
 
 
-def test_criterion_11_soft_trend_diagnostics():
-    """Reported, not asserted: peak trends, commutators, ladder collinearity.
+# Bounds on verify's su(1,1) diagnostics at h = 0.002, alpha = 1/2: about twice
+# the larger of the values measured natively and with numpy's AVX2 and AVX-512
+# kernels disabled (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4"), which differ by
+# up to 15 %.  The commutator residuals sit on the round-off floor of the
+# composed stencils and grow about 8x per halving of h.
+SU11_BOUNDS = {
+    "commutator_z3_tplus": 2e-6,        # measured 1.08e-6, 9.2e-7 without AVX2
+    "commutator_z3_tminus": 2e-4,       # 9.94e-5, 8.49e-5
+    "commutator_tplus_tminus": 2e-5,    # 8.70e-6, 7.43e-6
+    "ladder_action_plus": 5e-8,         # 1.76e-8 in both
+    "ladder_action_minus": 5e-8,        # 1.79e-8 in both
+}
 
-    These never gate the build (the printed operator relations are
-    internally inconsistent); the criterion is that the measurements are
-    produced and reported.
+
+def test_criterion_11_soft_trend_diagnostics():
+    """Reported, not gated by ``verify``: peak trends and the su(1,1) algebra.
+
+    The peak trends need only be produced.  Each commutator relation and
+    each direction of the ladder action must also measure below its bound
+    here, which holds the algebra in the gate while ``verify`` reports it
+    as measured only.
     """
     peaks = verify.diagnostics_peak_trend()
-    commutators = verify.diagnostics_commutators()
-    ladder = verify.diagnostics_ladder()
-    produced = len(peaks) == 2 and len(commutators) == 3 and len(ladder) == 2
-    for item in peaks + commutators + ladder:
+    su11 = verify.diagnostics_commutators() + verify.diagnostics_ladder()
+    within = [
+        rec["name"] for rec in su11
+        if rec["h"] == 0.002 and rec["measured"] < SU11_BOUNDS.get(rec["name"], 0.0)
+    ]
+    passed = len(peaks) == 2 and within == list(SU11_BOUNDS)
+    for item in peaks + su11:
         print(f"   measured {item['name']}: {item['measured']}")
-    announce(11, "figure-trend and operator diagnostics reported (soft),", produced)
+    announce(11, "figure trends reported, su(1,1) relations and ladder action within bounds,",
+             passed, " ".join(f"{rec['name']}={rec['measured']:.2e}" for rec in su11))

@@ -300,6 +300,34 @@ def test_unallocatable_grid_exits_1_with_one_line_message(runner, args):
     assert res.stderr.count("\n") == 1
 
 
+def test_unlistable_n_range_exits_1_with_one_line_message(runner):
+    # 1e14 entries need 800 TB of list, more than any address space, so the
+    # allocation fails at once; CPython's MemoryError for it has no message
+    res = runner.invoke(cli, ["spectrum", "--alpha", "1/2", "--n", "0..100000000000000"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: n range '0..100000000000000' has 100000000000001 entries, "
+        "too many to hold in memory\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_alpha_list_is_usage_error(runner, tmp_path, fmt, source):
+    if source == "flag":
+        args, spec = ["--alpha", ","], ","
+    else:
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("alpha=\n")
+        args, spec = ["--alpha", "1/2", "--config", str(cfg)], ""
+    res = runner.invoke(cli, ["spectrum", *args, "--format", fmt])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.rstrip("\n").endswith(f"Error: bad alpha specification {spec!r}: no entries")
+
+
 # E^2 = m^2 - 8R(...)^2 (or its rational/sinc analogue) overflows to infinity
 @pytest.mark.parametrize(
     "args",

@@ -1,5 +1,5 @@
 """The verify grid sweeps and block-drawn samples against their per-n and
-per-sample definitions, and verify's BLAS-free reductions against BLAS.
+per-sample definitions, and verify's BLAS-free series against its BLAS form.
 
 The sweeps stream F_0 .. F_5 once per (alpha, grid) and the random checks
 draw all their samples in one ``rng.uniform`` call; both must give exactly
@@ -7,12 +7,14 @@ draw all their samples in one ``rng.uniform`` call; both must give exactly
 ``rng.uniform`` call per real or imaginary part give.  Each grid is swept
 once per ``run_verification`` call and never shared between calls.
 
-The Perelomov series and the ladder projection sum in plain numpy, with no
-BLAS call, because BLAS worker threads keep spinning after each call and
-bill verify about twice its wall time in CPU.  Here they are held to the
-matrix-product and least-squares forms they replace, at tolerances fixed
-from the reassociated sums, and an ``ast`` scan keeps BLAS out of the two
-modules.
+The Perelomov series sums in plain numpy, with no BLAS call, because BLAS
+worker threads keep spinning after each call and bill verify about twice
+its wall time in CPU.  Here it is held to the matrix-product form it
+replaces, at a tolerance fixed from the reassociated sums, and an ``ast``
+scan keeps BLAS out of ``verify.py`` and ``coherent.py``.
+
+The ``ladder`` and ``commutator`` suites report one record per su(1,1)
+relation and nothing else.
 
 A subprocess run with numpy's AVX2 and AVX-512 kernels disabled must give
 the same records wherever the report does not depend on SIMD dispatch.
@@ -159,27 +161,23 @@ def test_gamma_reflection_equals_choice_draws():
     assert record["measured"] == worst
 
 
-# --- BLAS-free reductions against their BLAS forms -------------------------------
+# --- the su(1,1) suites -------------------------------------------------------------
 
-def lstsq_projection(alpha, sign):
-    """``diagnostics_ladder``'s projection by ``np.linalg.lstsq`` on the same basis."""
-    _r, f, base, _z3, dplus, dminus = verify._operator_set(alpha)
-    sl = slice(8, -8)
-    basis = np.stack([f[0][sl], f[1][sl]], axis=1)
-    y = (dplus if sign > 0 else dminus)(base).values[sl]
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    return np.linalg.norm(y - basis @ coef) / np.linalg.norm(y), coef
+@pytest.mark.parametrize("suite, names", [
+    ("ladder", ["ladder_action_plus", "ladder_action_minus"]),
+    ("commutator", ["commutator_z3_tplus", "commutator_z3_tminus", "commutator_tplus_tminus"]),
+])
+def test_su11_suites_report_one_record_per_relation(suite, names):
+    report = verify.run_verification(suite=suite)
+    assert report["checks"] == []
+    assert [rec["name"] for rec in report["diagnostics"]] == names
+    for rec in report["diagnostics"]:
+        assert set(rec) == {"name", "measured", "tolerance", "status", "h"}
+        assert rec["status"] == "measured" and rec["h"] == verify.DIAGNOSTIC_H
+        assert isinstance(rec["measured"], float)
 
 
-@pytest.mark.parametrize("alpha", verify.SWEEP_ALPHAS, ids=str)
-def test_ladder_projection_equals_lstsq(alpha):
-    records = verify.diagnostics_ladder(alpha)
-    for sign, record in zip((+1, -1), records):
-        resid, coef = lstsq_projection(alpha, sign)
-        assert record["measured"] == pytest.approx(resid, rel=1e-8)
-        got = np.array([complex(*c) for c in record["projection_coefficients"]])
-        assert np.max(np.abs(got - coef)) <= 1e-8 * np.max(np.abs(coef))
-
+# --- BLAS-free series against its BLAS form ----------------------------------------
 
 def series_by_contraction(x, params):
     """``coherent_series`` as the weights c_n xi^n N_n, each written out, times a
