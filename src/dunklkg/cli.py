@@ -4,9 +4,15 @@ published-table regression, and the verification suite.
 Output is byte-deterministic for a fixed invocation: CSV numerics use 9
 significant digits, JSON documents are exactly what json.dumps(...,
 indent=2) writes (numbers in Python's shortest round-trip repr, <= 17
-significant digits).  The DUNKLKG_FORMAT environment variable sets the
-default output format; a config file passed via --config holds key=value
-lines whose values override the corresponding flags.
+significant digits).
+
+Each option has one parser, its click declaration.  The DUNKLKG_FORMAT
+environment variable is the default of the shared --format option (a
+value other than csv or json exits 2), and the key=value lines of a
+--config file override the flags of the same name, each value converted
+by its flag's click type, so it is parsed exactly as the same text after
+the flag.  Choice names (--case, --phase-convention, --format) ignore
+letter case.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import json
 import os
 import stat
 import sys
-from typing import List, Optional
+from typing import List
 
 import click
 
@@ -26,8 +32,6 @@ from .model import CurvatureCase, parse_alpha, parse_complex
 from .refdata import TABLES, compare_reference
 from .spectrum import csv_text, spectrum_table, table_to_csv, table_to_json
 from .verify import report_to_json, run_verification
-
-ENV_FORMAT = "DUNKLKG_FORMAT"
 
 
 def _parse_n_list(spec: str) -> List[int]:
@@ -68,44 +72,44 @@ def _parse_list(name: str, spec: str, parse) -> list:
         raise click.UsageError(f"bad {name} specification {spec!r}: {exc}") from exc
 
 
-def _numeric(vals: dict, key: str, kind=float):
-    """Convert a (possibly config-supplied) value; malformed input is a usage error."""
-    try:
-        return kind(vals[key])
-    except ValueError as exc:
-        raise click.UsageError(f"bad value for {key}: {vals[key]!r}") from exc
+def _reads_config(command):
+    """Apply the --config file: its key=value lines override the flags.
 
+    '#' starts a comment.  A key names one of the command's options (not
+    ``config`` or ``output``), and the value is converted by that option's
+    own click type, so it is parsed exactly as the same text after the flag.
+    """
 
-def _load_config(path: Optional[str]) -> dict:
-    """key=value lines; '#' starts a comment.  Values override flags."""
-    if path is None:
-        return {}
-    overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+    @functools.wraps(command)
+    def configured(*args, config=None, **values):
+        if config is None:
+            return command(*args, **values)
+        ctx = click.get_current_context()
+        params = {p.name: p for p in ctx.command.params if p.name not in ("config", "output")}
+        with open(config, "r", encoding="utf-8") as fh:
+            try:
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise click.UsageError(f"config file {config!r} is not UTF-8: {exc}") from None
+        for raw in lines:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise click.UsageError(f"config line {raw.rstrip()!r} is not key=value")
-            key, value = line.split("=", 1)
-            overrides[key.strip().replace("-", "_")] = value.strip()
-    return overrides
+            key, text = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key not in params:
+                raise click.UsageError(f"unknown config key {key!r}")
+            param = params[key]
+            try:
+                values[key] = param.type_cast_value(ctx, (text,) if param.multiple else text)
+            except click.BadParameter as exc:
+                exc.param_hint = f"config key {key!r}"
+                raise
+        return command(*args, **values)
 
-
-def _apply_config(config: dict, **values):
-    """Return values with config-file overrides applied."""
-    out = dict(values)
-    for key, raw in config.items():
-        if key not in out:
-            raise click.UsageError(f"unknown config key {key!r}")
-        out[key] = raw
-    return out
-
-
-def _default_format() -> str:
-    fmt = os.environ.get(ENV_FORMAT, "csv").lower()
-    return fmt if fmt in ("csv", "json") else "csv"
+    return configured
 
 
 def _opens_output(command):
@@ -174,49 +178,47 @@ def cli():
     of the canonical Dunkl-Klein-Gordon equation."""
 
 
+_CASE = click.option("--case", default="gaussian", show_default=True,
+                     type=click.Choice([c.value for c in CurvatureCase], case_sensitive=False))
+_R = click.option("--R", "-R", "R", default=1.0, show_default=True, type=float)
+_M = click.option("--m", default=1.0, show_default=True, type=float)
+_FORMAT = click.option("--format", default="csv", show_default=True,
+                       envvar="DUNKLKG_FORMAT", show_envvar=True,
+                       type=click.Choice(["csv", "json"], case_sensitive=False))
+_CONFIG = click.option("--config", type=click.Path(exists=True), default=None,
+                       help="key=value lines that override the flags")
+_OUTPUT = click.option("-o", "--output", default=None, help="write to file instead of stdout")
+
+
 @cli.command("spectrum")
-@click.option("--case", "case_name", default="gaussian", show_default=True,
-              type=click.Choice([c.value for c in CurvatureCase]))
-@click.option("--alpha", "alpha_text", required=True, multiple=True,
+@_CASE
+@click.option("--alpha", required=True, multiple=True,
               help="half-odd rational 'p/2'; repeatable")
-@click.option("--n", "n_spec", default="0..5", show_default=True,
-              help="'lo..hi' or comma list")
-@click.option("--R", "-R", "curvature", default=1.0, show_default=True, type=float)
-@click.option("--m", "mass", default=1.0, show_default=True, type=float)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("-o", "--output", default=None, help="write to file instead of stdout")
+@click.option("--n", default="0..5", show_default=True, help="'lo..hi' or comma list")
+@_R
+@_M
+@_FORMAT
+@_CONFIG
+@_OUTPUT
 @_exit_codes
 @_opens_output
-def cmd_spectrum(case_name, alpha_text, n_spec, curvature, mass, fmt, config_path, output):
+@_reads_config
+def cmd_spectrum(case, alpha, n, R, m, format, output):
     """Emit the complex energy table for the chosen case."""
-    cfg = _load_config(config_path)
-    vals = _apply_config(
-        cfg,
-        case=case_name,
-        alpha=",".join(alpha_text),
-        n=n_spec,
-        R=str(curvature),
-        m=str(mass),
-        format=fmt or _default_format(),
-    )
-    case = CurvatureCase.from_name(vals["case"])
-    alphas = _parse_list("alpha", vals["alpha"], parse_alpha)
-    n_list = _parse_n_list(vals["n"])
-    table = spectrum_table(case, alphas, n_list, _numeric(vals, "R"), _numeric(vals, "m"))
-    text = table_to_csv(table) if vals["format"] == "csv" else table_to_json(table)
-    _emit(text, output)
+    alphas = _parse_list("alpha", ",".join(alpha), parse_alpha)
+    table = spectrum_table(CurvatureCase(case), alphas, _parse_n_list(n), R, m)
+    _emit(table_to_csv(table) if format == "csv" else table_to_json(table), output)
 
 
 @cli.command("table")
 @click.option("--reproduce", "table_id", required=True,
               type=click.Choice(sorted(TABLES)))
 @click.option("--tol", default=1e-2, show_default=True, type=float)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-@click.option("-o", "--output", default=None)
+@_FORMAT
+@_OUTPUT
 @_exit_codes
 @_opens_output
-def cmd_table(table_id, tol, fmt, output):
+def cmd_table(table_id, tol, format, output):
     """Regenerate a published reference table and diff it entrywise.
 
     Exits 0 iff every component deviation is within --tol.
@@ -229,7 +231,7 @@ def cmd_table(table_id, tol, fmt, output):
         "max_deviation": cmp.max_deviation,
         "passed": cmp.passed,
     }
-    if (fmt or _default_format()) == "json":
+    if format == "json":
         text = json.dumps({**meta, "entries": list(cmp.entries)}, indent=2) + "\n"
     else:
         # every table has entries, all with the keys of the first
@@ -240,68 +242,46 @@ def cmd_table(table_id, tol, fmt, output):
 
 
 def _profile_command(evolved: bool):
-    @click.option("--case", "case_name", default="gaussian", show_default=True,
-                  type=click.Choice([c.value for c in CurvatureCase]))
-    @click.option("--alpha", "alpha_text", required=True)
-    @click.option("--xi", "xi_text", required=True, help="complex literal, e.g. 0.5+0.2i")
-    @click.option("--n", "n_spec", default="0", show_default=True)
-    @click.option("--tau", "tau_spec", default="0" if not evolved else None,
+    @_CASE
+    @click.option("--alpha", required=True, help="half-odd rational 'p/2'")
+    @click.option("--xi", required=True, help="complex literal, e.g. 0.5+0.2i")
+    @click.option("--n", default="0", show_default=True, help="'lo..hi' or comma list")
+    @click.option("--tau", default=None if evolved else "0", show_default=True,
                   required=evolved, help="comma list of evolution times")
     @click.option("--branch", type=click.Choice(["plus", "minus"]), default=None,
                   help="spectral branch (required for rational/sinc)")
-    @click.option("--phase-convention", "convention",
-                  type=click.Choice([c.value for c in PhaseConvention]),
-                  default=PhaseConvention.CORRECTED.value, show_default=True)
-    @click.option("--R", "-R", "curvature", default=1.0, show_default=True, type=float)
-    @click.option("--m", "mass", default=1.0, show_default=True, type=float)
+    @click.option("--phase-convention", default=PhaseConvention.CORRECTED.value,
+                  show_default=True, type=click.Choice([c.value for c in PhaseConvention],
+                                                       case_sensitive=False))
+    @_R
+    @_M
     @click.option("--x-min", default=0.01, show_default=True, type=float)
     @click.option("--x-max", default=2.0, show_default=True, type=float)
     @click.option("--points", default=400, show_default=True, type=int)
-    @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None)
-    @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-    @click.option("-o", "--output", default=None)
+    @_FORMAT
+    @_CONFIG
+    @_OUTPUT
     @_exit_codes
     @_opens_output
-    def command(case_name, alpha_text, xi_text, n_spec, tau_spec, branch, convention,
-                curvature, mass, x_min, x_max, points, fmt, config_path, output):
-        cfg = _load_config(config_path)
-        vals = _apply_config(
-            cfg,
-            case=case_name,
-            alpha=alpha_text,
-            xi=xi_text,
-            n=n_spec,
-            tau=tau_spec if tau_spec is not None else "0",
-            branch=branch or "",
-            phase_convention=convention,
-            R=str(curvature),
-            m=str(mass),
-            x_min=str(x_min),
-            x_max=str(x_max),
-            points=str(points),
-            format=fmt or _default_format(),
-        )
-        case = CurvatureCase.from_name(vals["case"])
-        alpha = parse_alpha(vals["alpha"])
-        xi = parse_complex(vals["xi"])
-        n_list = _parse_n_list(vals["n"])
-        tau_list = _parse_list("tau", vals["tau"], float)
-        R, m = _numeric(vals, "R"), _numeric(vals, "m")
+    @_reads_config
+    def command(case, alpha, xi, n, tau, branch, phase_convention, R, m, x_min, x_max,
+                points, format, output):
+        case = CurvatureCase(case)
+        alpha, xi = parse_alpha(alpha), parse_complex(xi)
+        n_list, tau_list = _parse_n_list(n), _parse_list("tau", tau, float)
         profiles = [
             build_profile(
-                case, alpha, n, xi,
-                R=R, m=m, branch=vals["branch"] or None,
-                tau=tau, phase_convention=PhaseConvention.from_name(vals["phase_convention"]),
-                x_min=_numeric(vals, "x_min"), x_max=_numeric(vals, "x_max"),
-                points=_numeric(vals, "points", int), evolved=evolved,
+                case, alpha, n_i, xi, R=R, m=m, branch=branch, tau=tau_i,
+                phase_convention=PhaseConvention(phase_convention),
+                x_min=x_min, x_max=x_max, points=points, evolved=evolved,
             )
-            for n in n_list
-            for tau in tau_list
+            for n_i in n_list
+            for tau_i in tau_list
         ]
         for profile in profiles:
             if profile.meta.get("warning"):
                 click.echo(f"warning: {profile.meta['warning']}", err=True)
-        if vals["format"] == "json":
+        if format == "json":
             text = profiles_to_json(profiles)
         else:
             text = "\n".join(p.to_csv() for p in profiles)

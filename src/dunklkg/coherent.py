@@ -81,16 +81,6 @@ class PhaseConvention(enum.Enum):
     CORRECTED = "corrected"    # prefactor e^(-i k tau)
     AS_PRINTED = "as-printed"  # constant prefactor e^(-i k)
 
-    @classmethod
-    def from_name(cls, name: str) -> "PhaseConvention":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise DomainError(
-                f"unknown phase convention {name!r}; expected "
-                f"{[c.value for c in cls]}"
-            ) from None
-
 
 @dataclass(frozen=True)
 class CoherentParams:

@@ -76,9 +76,12 @@ def parse_alpha(text: str) -> Fraction:
     half-odd restriction is structural and the literal keeps it exact.
     """
     match = _ALPHA_RE.match(text.strip())
-    if match is None:
-        raise DomainError(f"cannot parse alpha from {text!r}; expected 'p/2' with odd p")
-    return half_odd_alpha(Fraction(int(match.group(1)), 2))
+    if match is not None:
+        try:
+            return half_odd_alpha(Fraction(int(match.group(1)), 2))
+        except ValueError:  # a numerator longer than sys.get_int_max_str_digits()
+            pass
+    raise DomainError(f"cannot parse alpha from {text!r}; expected 'p/2' with odd p")
 
 
 def parse_complex(text: str) -> complex:

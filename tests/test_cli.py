@@ -2,6 +2,7 @@
 
 import json
 import re
+import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,9 @@ from dunklkg import CurvatureCase, build_profile, gridops
 from dunklkg.cli import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+NOT_UTF8_CONFIG = Path(__file__).parent / "data" / "not_utf8.cfg"  # alpha=<byte 0xff>/2
+# a numerator past int()'s 4300-digit limit for decimal strings
+LONG_ALPHA = "1" * 5000 + "/2"
 
 
 @pytest.fixture
@@ -217,6 +221,109 @@ def test_format_environment_variable(runner):
     assert rows[0]["n"] == 0
 
 
+# The base arguments of each command, as config keys; ``cli_args`` spells
+# them as flags.  Density's base takes a branch, so every case is valid.
+BASE = {
+    "spectrum": {"alpha": "1/2", "n": "0..2"},
+    "density": {"case": "rational", "branch": "plus", "alpha": "1/2", "xi": "0.3",
+                "points": "20"},
+    "evolve": {"alpha": "1/2", "xi": "0.3", "tau": "1", "points": "20"},
+    "table": {"reproduce": "table1"},
+}
+CONFIG_KEYS = {
+    "spectrum": ("case", "alpha", "n", "R", "m", "format"),
+    "density": ("case", "alpha", "xi", "n", "tau", "branch", "phase_convention", "R", "m",
+                "x_min", "x_max", "points", "format"),
+}
+# for each config key, a valid value that changes the base output
+CHANGED = {"case": "sinc", "alpha": "3/2", "xi": "0.1-0.2i", "n": "1,3", "tau": "0.5,1",
+           "branch": "minus", "phase_convention": "as-printed", "R": "0.5", "m": "2",
+           "x_min": "0.1", "x_max": "1.5", "points": "30", "format": "json"}
+
+
+def cli_args(command, values):
+    return [command] + [arg for key, value in values.items()
+                        for arg in ("--" + key.replace("_", "-"), value)]
+
+
+@pytest.mark.parametrize(
+    "command, key", [(command, key) for command, keys in CONFIG_KEYS.items() for key in keys]
+)
+def test_config_line_prints_what_its_flag_prints(runner, tmp_path, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={CHANGED[key]}\n")
+    by_flag = invoke(runner, cli_args(command, {**BASE[command], key: CHANGED[key]}))
+    by_config = invoke(runner, cli_args(command, BASE[command]) + ["--config", str(cfg)])
+    assert by_flag.exit_code == by_config.exit_code == 0
+    assert by_config.stdout_bytes == by_flag.stdout_bytes
+    if (command, key) != ("density", "m"):  # E^2 - m^2, so the density, is free of m
+        assert by_flag.stdout_bytes != invoke(runner, cli_args(command, BASE[command])).stdout_bytes
+
+
+@pytest.mark.parametrize("value", ["xml", "json5", "c sv"])
+@pytest.mark.parametrize(
+    "command, source",
+    [(command, source) for command in ("spectrum", "table", "density", "evolve")
+     for source in ("flag", "config", "env") if (command, source) != ("table", "config")],
+)
+def test_invalid_format_exits_2_with_one_line_message(runner, tmp_path, command, source, value):
+    args, env = cli_args(command, BASE[command]), {}
+    if source == "flag":
+        args += ["--format", value]
+    elif source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"format={value}\n")
+        args += ["--config", str(cfg)]
+    else:
+        env["DUNKLKG_FORMAT"] = value
+    res = runner.invoke(cli, args, env=env)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1
+    assert res.stderr.rstrip("\n").endswith(errors[0])
+    assert f"{value!r} is not one of 'csv', 'json'" in errors[0]
+    assert ("config key 'format'" in errors[0]) == (source == "config")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("config=other.cfg", "Error: unknown config key 'config'"),
+        ("output=out.csv", "Error: unknown config key 'output'"),
+        ("branch=", "Error: Invalid value for config key 'branch': '' is not one of 'plus', 'minus'."),
+        ("points=1.5", "Error: Invalid value for config key 'points': '1.5' is not a valid integer."),
+        ("x-min=abc", "Error: Invalid value for config key 'x_min': 'abc' is not a valid float."),
+        ("case=cosh", "Error: Invalid value for config key 'case': 'cosh' is not one of "
+                      "'gaussian', 'rational', 'sinc'."),
+    ],
+)
+def test_bad_config_line_exits_2_naming_its_key(runner, tmp_path, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out.csv"
+    res = runner.invoke(cli, cli_args("density", BASE["density"])
+                        + ["--config", str(cfg), "-o", str(out)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.endswith("\n" + message + "\n")
+    assert not out.exists()  # the -o file the failed run had to create is removed
+
+
+def test_choice_names_ignore_letter_case(runner):
+    def density(case, convention, *args, env=None):
+        values = {**BASE["density"], "case": case, "phase_convention": convention}
+        return invoke(runner, cli_args("density", values) + list(args), env=env)
+
+    lower = density("sinc", "as-printed", "--format", "json")
+    assert lower.exit_code == 0
+    for upper in (density("Sinc", "AS-PRINTED", "--format", "JSON"),
+                  density("SINC", "As-Printed", env={"DUNKLKG_FORMAT": "Json"})):
+        assert upper.exit_code == 0
+        assert upper.stdout_bytes == lower.stdout_bytes
+
+
 # --- malformed parameters and file output --------------------------------------
 
 def test_bad_n_specification_is_usage_error(runner):
@@ -267,6 +374,11 @@ def test_negative_n_rejected(runner):
         ["spectrum", "--alpha", "1/2", "-o", "/"],
         ["spectrum", "--alpha", "1/2", "--config", "/"],
         ["verify", "--suite", "casimir", "-o", "/nonexistent-dir/x.json"],
+        pytest.param(["spectrum", "--alpha", "1/2", "--config", str(NOT_UTF8_CONFIG)],
+                     id="spectrum --alpha 1/2 --config not_utf8.cfg"),
+        pytest.param(["spectrum", "--alpha", LONG_ALPHA], id="spectrum --alpha 5000-digit p/2"),
+        pytest.param(["density", "--alpha", LONG_ALPHA, "--xi", "0.3"],
+                     id="density --alpha 5000-digit p/2 --xi 0.3"),
     ],
     ids=lambda args: " ".join(args),
 )
@@ -608,3 +720,46 @@ def test_evolve_any_float_input(branch, R, m, tau, re_xi, im_xi, fmt):
     _run_twice(["evolve", *branch, "--alpha", "1/2",
                 "--xi", f"{re_xi!r}{im_xi:+}i", "--R", repr(R), "--m", repr(m),
                 "--tau", repr(tau), "--points", "20", "--format", fmt])
+
+
+# --- any text input: an exit code, never a traceback --------------------------------
+
+# Config lines end at a newline ('\r' counts as one when the file is read)
+# and at '#', so neither is drawn, for config lines or flags.
+ANY_CHAR = st.characters(exclude_categories=["Cs"], exclude_characters="\n\r#")
+
+
+def any_text(max_size):
+    """Any text, half the time over the characters the options' parsers read."""
+    return st.one_of(st.text(ANY_CHAR, max_size=max_size),
+                     st.text("0123456789./,+-eij ", max_size=max_size))
+
+
+def text_for(key):
+    # at most 5 characters of n list at most 100 entries, and at most 4 of
+    # points ask for at most 9999, so no example allocates a large grid
+    return any_text({"n": 5, "points": 4}.get(key, 12))
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_config_text(command, data):
+    key = data.draw(st.sampled_from(CONFIG_KEYS[command]), label="key")
+    text = data.draw(text_for(key), label="text")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(f"{key}={text}\n", encoding="utf-8")
+        _run_twice(cli_args(command, BASE[command]) + ["--config", str(cfg)])
+
+
+@pytest.mark.parametrize(
+    "command, keys", [("spectrum", ("alpha", "n")), ("evolve", ("alpha", "xi", "n", "tau"))],
+    ids=["spectrum", "evolve"],
+)
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_flag_text(command, keys, data):
+    key = data.draw(st.sampled_from(keys), label="key")
+    text = data.draw(text_for(key), label="text")
+    _run_twice(cli_args(command, {**BASE[command], key: text}))
