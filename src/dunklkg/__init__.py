@@ -70,6 +70,7 @@ from .spectrum import (
     EnergyPair,
     SpectrumTable,
     energy_pair,
+    energy_shifts,
     self_consistency_residual,
     spectrum_table,
     table_to_csv,

@@ -181,7 +181,6 @@ def cli():
 _CASE = click.option("--case", default="gaussian", show_default=True,
                      type=click.Choice([c.value for c in CurvatureCase], case_sensitive=False))
 _R = click.option("--R", "-R", "R", default=1.0, show_default=True, type=float)
-_M = click.option("--m", default=1.0, show_default=True, type=float)
 _FORMAT = click.option("--format", default="csv", show_default=True,
                        envvar="DUNKLKG_FORMAT", show_envvar=True,
                        type=click.Choice(["csv", "json"], case_sensitive=False))
@@ -196,7 +195,7 @@ _OUTPUT = click.option("-o", "--output", default=None, help="write to file inste
               help="half-odd rational 'p/2'; repeatable")
 @click.option("--n", default="0..5", show_default=True, help="'lo..hi' or comma list")
 @_R
-@_M
+@click.option("--m", default=1.0, show_default=True, type=float)
 @_FORMAT
 @_CONFIG
 @_OUTPUT
@@ -254,7 +253,6 @@ def _profile_command(evolved: bool):
                   show_default=True, type=click.Choice([c.value for c in PhaseConvention],
                                                        case_sensitive=False))
     @_R
-    @_M
     @click.option("--x-min", default=0.01, show_default=True, type=float)
     @click.option("--x-max", default=2.0, show_default=True, type=float)
     @click.option("--points", default=400, show_default=True, type=int)
@@ -264,14 +262,14 @@ def _profile_command(evolved: bool):
     @_exit_codes
     @_opens_output
     @_reads_config
-    def command(case, alpha, xi, n, tau, branch, phase_convention, R, m, x_min, x_max,
+    def command(case, alpha, xi, n, tau, branch, phase_convention, R, x_min, x_max,
                 points, format, output):
         case = CurvatureCase(case)
         alpha, xi = parse_alpha(alpha), parse_complex(xi)
         n_list, tau_list = _parse_n_list(n), _parse_list("tau", tau, float)
         profiles = [
             build_profile(
-                case, alpha, n_i, xi, R=R, m=m, branch=branch, tau=tau_i,
+                case, alpha, n_i, xi, R=R, branch=branch, tau=tau_i,
                 phase_convention=PhaseConvention(phase_convention),
                 x_min=x_min, x_max=x_max, points=points, evolved=evolved,
             )

@@ -13,11 +13,12 @@ over the eigenfunctions; agreement of the two is the principal
 correctness check of this module.
 
 The closed form carries no explicit n; the quantum number enters through
-the spectral branch E_n feeding the scale factor, so each n labels the
-coherent state built on that branch.  Time evolution maps xi to
-xi e^(-i tau) (hbar = 1) with an overall phase prefactor that is
-e^(-i k tau) under the 'corrected' convention (default) or the constant
-e^(-i k) 'as-printed'; the two yield identical normalized densities.
+the shift E_n^2 - m^2 (free of m, so no mass enters) of the spectral
+branch feeding the scale factor, so each n labels the coherent state
+built on that branch.  Time evolution maps xi to xi e^(-i tau) (hbar = 1)
+with an overall phase prefactor that is e^(-i k tau) under the 'corrected'
+convention (default) or the constant e^(-i k) 'as-printed'; the two yield
+identical normalized densities.
 
 Densities are always renormalized numerically on their grid: the complex
 Bargmann index makes the closed-form prefactor non-unitary, so no analytic
@@ -48,7 +49,7 @@ from .model import (
     scale_factor,
     sigma_index,
 )
-from .spectrum import CSV_FLOAT, csv_field, csv_text, energy_pair, json_records
+from .spectrum import BRANCHES, CSV_FLOAT, csv_field, csv_text, energy_shifts, json_records
 
 __all__ = [
     "CoherentParams",
@@ -89,7 +90,6 @@ class CoherentParams:
     xi: complex
     alpha: Fraction
     lambda_scale: complex
-    n_label: int = 0
     tau: float = 0.0
     phase_convention: PhaseConvention = PhaseConvention.CORRECTED
 
@@ -110,33 +110,29 @@ class CoherentParams:
         n: int,
         xi: complex,
         R: float = 1.0,
-        m: float = 1.0,
         branch: Optional[str] = None,
         tau: float = 0.0,
         phase_convention: PhaseConvention = PhaseConvention.CORRECTED,
     ) -> "CoherentParams":
-        """Build params with Lambda = scale(E_n^2) on the chosen spectral branch.
+        """Build params with Lambda = scale(E_n^2 - m^2) on the chosen spectral branch.
 
         The gaussian case has a single branch and ``branch`` must be omitted;
         the rational and sinc cases require an explicit 'plus' or 'minus'.
         """
-        pair = energy_pair(case, n, alpha, R, m)
+        shifts = energy_shifts(case, n, alpha, R)
         if case is CurvatureCase.GAUSSIAN:
             if branch not in (None, "plus"):
                 raise DomainError("the gaussian case has a single spectral branch")
-            e2 = pair.e2_plus
-        else:
-            if branch not in ("plus", "minus"):
-                raise DomainError(
-                    f"case {case.value} needs an explicit branch ('plus' or 'minus')"
-                )
-            e2 = pair.e2_plus if branch == "plus" else pair.e2_minus
-        lam = scale_factor(case, e2, R, m)
+            branch = "plus"
+        elif branch not in BRANCHES:
+            raise DomainError(
+                f"case {case.value} needs an explicit branch ('plus' or 'minus')"
+            )
+        lam = scale_factor(case, shifts[BRANCHES.index(branch)], R)
         return cls(
             xi=complex(xi),
             alpha=alpha,
             lambda_scale=lam,
-            n_label=n,
             tau=tau,
             phase_convention=phase_convention,
         )
@@ -363,7 +359,6 @@ def build_profile(
     n: int,
     xi: complex,
     R: float = 1.0,
-    m: float = 1.0,
     branch: Optional[str] = None,
     tau: float = 0.0,
     phase_convention: PhaseConvention = PhaseConvention.CORRECTED,
@@ -376,7 +371,7 @@ def build_profile(
     if points < 9:
         raise DomainError("need at least 9 grid points")
     params = CoherentParams.for_case(
-        case, alpha, n, xi, R=R, m=m, branch=branch, tau=tau, phase_convention=phase_convention
+        case, alpha, n, xi, R=R, branch=branch, tau=tau, phase_convention=phase_convention
     )
     require_memory(points, _PROFILE_BYTES_PER_POINT)
     _require_window(x_min, x_max)  # before linspace, which turns infinities into nan

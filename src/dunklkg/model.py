@@ -11,6 +11,7 @@ is treated as identical to alpha throughout.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import re
 from fractions import Fraction
@@ -124,13 +125,16 @@ _SCALE_PREFACTOR = {
 }
 
 
-def scale_factor(case: CurvatureCase, e_squared: complex, R: float, m: float) -> complex:
-    """Case-specific scale (Lambda, Theta or Pi) from E^2, principal root.
+def scale_factor(case: CurvatureCase, shift: complex, R: float) -> complex:
+    """Case-specific scale (Lambda, Theta or Pi) of the shift E^2 - m^2, principal root.
 
-    Depends on E^2 - m^2 only, so no root-of-E choice is involved.  Raises
-    DegenerateError within 1e-14 of the flat configuration E^2 = m^2.
+    Raises DegenerateError within 1e-14 of the flat configuration E^2 = m^2,
+    and OverflowError when the scale is not finite.
     """
-    u = complex(e_squared) - m * m
+    u = complex(shift)
     if abs(u) < DEGENERATE_TOL:
         raise DegenerateError("E^2 = m^2: scale factor degenerates to zero")
-    return principal_sqrt(_SCALE_PREFACTOR[case] * R * u)
+    scale = principal_sqrt(_SCALE_PREFACTOR[case] * R * u)
+    if not cmath.isfinite(scale):
+        raise OverflowError(f"the scale factor is not finite at R={R}")
+    return scale

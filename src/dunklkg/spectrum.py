@@ -47,12 +47,16 @@ __all__ = [
     "EnergyPair",
     "SpectrumTable",
     "energy_pair",
+    "energy_shifts",
     "relation_rhs",
     "self_consistency_residual",
     "spectrum_table",
     "table_to_csv",
     "table_to_json",
 ]
+
+
+BRANCHES = ("plus", "minus")  # spectral branch names, in the order every tuple of them takes
 
 
 @dataclass(frozen=True)
@@ -77,21 +81,18 @@ class EnergyPair:
 
     @property
     def branches(self) -> Tuple[Tuple[str, complex], ...]:
-        out = [("plus", self.e2_plus)]
-        if self.e2_minus is not None:
-            out.append(("minus", self.e2_minus))
-        return tuple(out)
+        e2s = (self.e2_plus,) if self.e2_minus is None else (self.e2_plus, self.e2_minus)
+        return tuple(zip(BRANCHES, e2s))
 
 
 def _inner_s(alpha: AlphaLike) -> float:
     return (2.0 * float(alpha) - 0.25) ** 0.5
 
 
-def _gaussian_pair(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
-    """Gaussian-profile spectrum E_n^2 = m^2 - 8R (2n + 1 + i sqrt(2a - 1/4))^2."""
+def _gaussian_shifts(n: int, alpha: AlphaLike, R: float) -> Tuple[complex]:
+    """Gaussian-profile shift E_n^2 - m^2 = -8R (2n + 1 + i sqrt(2a - 1/4))^2."""
     s = _inner_s(alpha)
-    e2 = m * m - 8.0 * R * (2 * n + 1 + 1j * s) ** 2
-    return EnergyPair(n, e2)
+    return (-8.0 * R * (2 * n + 1 + 1j * s) ** 2,)
 
 
 def _bracket(n: int, alpha: AlphaLike) -> complex:
@@ -100,48 +101,56 @@ def _bracket(n: int, alpha: AlphaLike) -> complex:
     return q * q + 1.0
 
 
-def _rational_pair(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
-    """Rational-profile spectrum; E_+ is the fast-decaying branch everywhere.
+def _rational_shifts(n: int, alpha: AlphaLike, R: float) -> Tuple[complex, complex]:
+    """Rational-profile shifts; E_+ is the fast-decaying branch everywhere.
 
     The inner root is taken asymptotic to the bracket (see module docstring)
     so the labels match the published table entrywise.
     """
     b = _bracket(n, alpha)
     root = b * principal_sqrt(1.0 - 1.0 / (b * b))
-    e2p = m * m - 2.0 * R * (b + root)
-    e2m = m * m - 2.0 * R * (b - root)
-    return EnergyPair(n, e2p, e2m)
+    return -2.0 * R * (b + root), -2.0 * R * (b - root)
 
 
-def _sinc_pair(n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
-    """Sinc-profile spectrum; labels follow the formula with a principal root."""
+def _sinc_shifts(n: int, alpha: AlphaLike, R: float) -> Tuple[complex, complex]:
+    """Sinc-profile shifts; labels follow the formula with a principal root."""
     b = _bracket(n, alpha)
     root = principal_sqrt(b * b - 1.0)
-    e2p = m * m - R / 6.0 * (b + root)
-    e2m = m * m - R / 6.0 * (b - root)
-    return EnergyPair(n, e2p, e2m)
+    return -R / 6.0 * (b + root), -R / 6.0 * (b - root)
 
 
 _CASE_DISPATCH = {
-    CurvatureCase.GAUSSIAN: _gaussian_pair,
-    CurvatureCase.RATIONAL: _rational_pair,
-    CurvatureCase.SINC: _sinc_pair,
+    CurvatureCase.GAUSSIAN: _gaussian_shifts,
+    CurvatureCase.RATIONAL: _rational_shifts,
+    CurvatureCase.SINC: _sinc_shifts,
 }
 
 
-def energy_pair(case: CurvatureCase, n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
-    """E^2 on each branch; the one check of the physical inputs alpha, R and m.
+def energy_shifts(case: CurvatureCase, n: int, alpha: AlphaLike, R: float) -> Tuple[complex, ...]:
+    """E^2 - m^2 on each branch, 'plus' first; the one check of n, alpha and R.
 
-    Raises OverflowError when E^2 on some branch is not finite.
+    The shift is free of m, and it is all the coherent states read.  Raises
+    OverflowError when a shift is not finite.
     """
     if n < 0:
         raise DomainError("quantum number n must be non-negative")
-    if not (0.0 <= R < math.inf and 0.0 < m < math.inf):  # also rejects NaN
-        raise DomainError(f"need finite R >= 0 and m > 0, got R={R}, m={m}")
-    pair = _CASE_DISPATCH[case](n, half_odd_alpha(alpha), R, m)
-    if not all(cmath.isfinite(e2) for _, e2 in pair.branches):
+    if not 0.0 <= R < math.inf:  # also rejects NaN
+        raise DomainError(f"need finite R >= 0, got R={R}")
+    shifts = _CASE_DISPATCH[case](n, half_odd_alpha(alpha), R)
+    if not all(map(cmath.isfinite, shifts)):
+        raise OverflowError(f"E^2 is not finite for n={n} at R={R}: E^2 - m^2 overflows")
+    return shifts
+
+
+def energy_pair(case: CurvatureCase, n: int, alpha: AlphaLike, R: float, m: float) -> EnergyPair:
+    """E^2 = m^2 + (E^2 - m^2) on each branch; the one check of m.  Raises
+    OverflowError when E^2 on some branch is not finite."""
+    if not 0.0 < m < math.inf:  # also rejects NaN
+        raise DomainError(f"need finite m > 0, got m={m}")
+    e2s = tuple(m * m + u for u in energy_shifts(case, n, alpha, R))
+    if not all(map(cmath.isfinite, e2s)):
         raise OverflowError(f"E^2 is not finite for n={n} at R={R}, m={m}")
-    return pair
+    return EnergyPair(n, *e2s)
 
 
 def self_consistency_residual(
@@ -149,53 +158,44 @@ def self_consistency_residual(
     n: int,
     alpha: AlphaLike,
     R: float,
-    m: float,
     branch: Optional[str] = None,
 ) -> float:
-    """Residual of the su(1,1) eigenvalue relation with closed-form E^2 substituted back.
+    """Residual of the su(1,1) eigenvalue relation with the closed-form shift substituted back.
 
     The relation reads k + n = -i * num / (4 * scale) with the case-specific
-    numerator (E^2 - m^2, E^2 - m^2 + 2R, or (6(E^2 - m^2) + R)/6) and scale
-    factor.  The scale factor is defined only through its square, so both
-    determinations of the root are tried and the smaller residual returned;
-    measured behaviour at R = m = 1 is that the relation is exact (to
+    numerator (u, u + 2R, or (6u + R)/6 for the shift u = E^2 - m^2) and
+    scale factor.  The scale factor is defined only through its square, so
+    both determinations of the root are tried and the smaller residual
+    returned; measured behaviour at R = 1 is that the relation is exact (to
     round-off) for every spectral branch once the root sign is resolved.
     With ``branch`` None the minimum over the available branches is returned.
     """
-    pair = energy_pair(case, n, alpha, R, m)
-    if branch is None:
-        return min(
-            _relation_residual(case, n, e2, alpha, R, m) for _, e2 in pair.branches
-        )
-    chosen = dict(pair.branches).get(branch)
-    if chosen is None:
-        raise DomainError(f"branch {branch!r} not available for case {case.value}")
-    return _relation_residual(case, n, chosen, alpha, R, m)
-
-
-def _relation_residual(
-    case: CurvatureCase, n: int, e_squared: complex, alpha: AlphaLike, R: float, m: float
-) -> float:
-    rhs = relation_rhs(case, e_squared, R, m)
+    shifts = dict(zip(BRANCHES, energy_shifts(case, n, alpha, R)))
+    if branch is not None:
+        if branch not in shifts:
+            raise DomainError(f"branch {branch!r} not available for case {case.value}")
+        shifts = {branch: shifts[branch]}
     k = bargmann_index(alpha)
-    return float(min(abs(k + n - rhs), abs(k + n + rhs)))
+    return min(
+        float(min(abs(k + n - rhs), abs(k + n + rhs)))
+        for rhs in (relation_rhs(case, u, R) for u in shifts.values())
+    )
 
 
-def relation_rhs(case: CurvatureCase, e_squared: complex, R: float, m: float) -> complex:
+def relation_rhs(case: CurvatureCase, shift: complex, R: float) -> complex:
     """Right-hand side -i num / (4 scale) of the eigenvalue relation k + n = rhs.
 
-    ``num`` is the case numerator and ``scale`` the principal case scale
-    factor (see ``self_consistency_residual``); raises DegenerateError at
-    E^2 = m^2, where the scale factor vanishes.
+    ``num`` is the case numerator of the shift u = E^2 - m^2 and ``scale``
+    the principal case scale factor (see ``self_consistency_residual``);
+    raises DegenerateError at u = 0, where the scale factor vanishes.
     """
-    u = complex(e_squared) - m * m
     if case is CurvatureCase.GAUSSIAN:
-        num = u
+        num = shift
     elif case is CurvatureCase.RATIONAL:
-        num = u + 2.0 * R
+        num = shift + 2.0 * R
     else:
-        num = (6.0 * u + R) / 6.0
-    return -1j * num / (4.0 * scale_factor(case, e_squared, R, m))
+        num = (6.0 * shift + R) / 6.0
+    return -1j * num / (4.0 * scale_factor(case, shift, R))
 
 
 @dataclass(frozen=True)

@@ -67,14 +67,14 @@ from .model import (
     sigma_index,
 )
 from .refdata import compare_reference
-from .spectrum import energy_pair, relation_rhs, self_consistency_residual
+from .spectrum import energy_shifts, relation_rhs, self_consistency_residual
 
 __all__ = ["grid_sweep", "run_verification", "report_to_json", "z3_eigenvalue_residual"]
 
 SWEEP_ALPHAS = (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2))
 SWEEP_N = range(6)  # from 0 and contiguous: the grid sweeps enumerate one F_n stream
 SERIES_XIS = (0.3 + 0.0j, 0.5 + 0.2j, 0.1 - 0.6j)
-# coherent-state checks run on the gaussian spectrum at R = m = 1
+# coherent-state checks run on the gaussian spectrum at R = 1
 GAUSSIAN = CurvatureCase.GAUSSIAN
 
 # standard grids
@@ -162,7 +162,7 @@ def check_self_consistency() -> Dict:
     for case in CurvatureCase:
         for alpha in SWEEP_ALPHAS:
             for n in SWEEP_N:
-                worst = max(worst, self_consistency_residual(case, n, alpha, 1.0, 1.0))
+                worst = max(worst, self_consistency_residual(case, n, alpha, 1.0))
     return _check("self_consistency", worst, 1e-8)
 
 
@@ -419,8 +419,8 @@ def diagnostics_strict_principal() -> List[Dict]:
         for alpha in SWEEP_ALPHAS:
             k = bargmann_index(alpha)
             for n in SWEEP_N:
-                for _, e2 in energy_pair(case, n, alpha, 1.0, 1.0).branches:
-                    worst = max(worst, abs(k + n - relation_rhs(case, e2, 1.0, 1.0)))
+                for u in energy_shifts(case, n, alpha, 1.0):
+                    worst = max(worst, abs(k + n - relation_rhs(case, u, 1.0)))
     return [_diagnostic("self_consistency_strict_principal_max", worst)]
 
 

@@ -7,7 +7,10 @@ they stay.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import numpy as np
 
 import dunklkg
 
@@ -62,3 +65,13 @@ def test_every_export_is_reached_from_the_package():
 def test_allow_list_names_only_unreached_exports():
     stale = set(ALLOWED_UNREACHED) - (_exported() - _reached())
     assert not stale, f"allow-listed but exported-and-reached or gone: {sorted(stale)}"
+
+
+def test_readme_library_example_runs():
+    # the README's Library block, run as written, so it follows the API
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    profile = namespace["profile"]
+    assert abs(np.trapezoid(profile.values, profile.points) - 1.0) < 1e-12

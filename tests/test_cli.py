@@ -232,7 +232,7 @@ BASE = {
 }
 CONFIG_KEYS = {
     "spectrum": ("case", "alpha", "n", "R", "m", "format"),
-    "density": ("case", "alpha", "xi", "n", "tau", "branch", "phase_convention", "R", "m",
+    "density": ("case", "alpha", "xi", "n", "tau", "branch", "phase_convention", "R",
                 "x_min", "x_max", "points", "format"),
 }
 # for each config key, a valid value that changes the base output
@@ -256,8 +256,31 @@ def test_config_line_prints_what_its_flag_prints(runner, tmp_path, command, key)
     by_config = invoke(runner, cli_args(command, BASE[command]) + ["--config", str(cfg)])
     assert by_flag.exit_code == by_config.exit_code == 0
     assert by_config.stdout_bytes == by_flag.stdout_bytes
-    if (command, key) != ("density", "m"):  # E^2 - m^2, so the density, is free of m
-        assert by_flag.stdout_bytes != invoke(runner, cli_args(command, BASE[command])).stdout_bytes
+    assert by_flag.stdout_bytes != invoke(runner, cli_args(command, BASE[command])).stdout_bytes
+
+
+# The coherent states read only E^2 - m^2, which is free of m, so the
+# profile commands take no mass, neither as a flag nor as a config key.
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["density", "evolve"])
+def test_profile_commands_refuse_m(runner, tmp_path, command, source):
+    args = cli_args(command, BASE[command])
+    if source == "flag":
+        args += ["--m", "2"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m=2\n")
+        args += ["--config", str(cfg)]
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
+    assert errors == [res.stderr.rstrip("\n").splitlines()[-1]]
+    if source == "flag":
+        assert "No such option" in errors[0] and "--m" in errors[0]
+    else:
+        assert errors[0] == "Error: unknown config key 'm'"
 
 
 @pytest.mark.parametrize("value", ["xml", "json5", "c sv"])
@@ -457,6 +480,23 @@ def test_overflowing_spectrum_exits_1_with_one_line_message(runner, args):
     assert res.stdout == ""
     assert res.stderr.startswith("error: E^2 is not finite")
     assert res.stderr.count("\n") == 1
+
+
+# The coherent states overflow in the shift E^2 - m^2 (R = 1e308) or only in
+# the scale factor, sqrt(2R(E^2 - m^2)) (R = 1e200)
+@pytest.mark.parametrize(
+    "R, message",
+    [("1e308", "error: E^2 is not finite for n=0 at R=1e+308: E^2 - m^2 overflows\n"),
+     ("1e200", "error: the scale factor is not finite at R=1e+200\n")],
+    ids=["shift", "scale-factor"],
+)
+@pytest.mark.parametrize("command", ["density", "evolve"])
+def test_overflowing_profile_exits_1_with_one_line_message(runner, command, R, message):
+    res = runner.invoke(cli, cli_args(command, {**BASE["evolve"], "R": R}))
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    assert res.stderr == message
 
 
 # A window with an infinite end is refused before np.linspace (which would
@@ -705,20 +745,20 @@ def test_spectrum_any_float_input(case, R, m, fmt):
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(branch=BRANCHES, R=any_float(0, 4), m=any_float(0.1, 4), re_xi=any_float(-0.7, 0.7),
+@given(branch=BRANCHES, R=any_float(0, 4), re_xi=any_float(-0.7, 0.7),
        im_xi=any_float(-0.7, 0.7), fmt=st.sampled_from(["csv", "json"]))
-def test_density_any_float_input(branch, R, m, re_xi, im_xi, fmt):
+def test_density_any_float_input(branch, R, re_xi, im_xi, fmt):
     _run_twice(["density", *branch, "--alpha", "3/2",
-                "--xi", f"{re_xi!r}{im_xi:+}i", "--R", repr(R), "--m", repr(m),
+                "--xi", f"{re_xi!r}{im_xi:+}i", "--R", repr(R),
                 "--points", "20", "--format", fmt])
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(branch=BRANCHES, R=any_float(0, 4), m=any_float(0.1, 4), tau=any_float(-10, 10),
+@given(branch=BRANCHES, R=any_float(0, 4), tau=any_float(-10, 10),
        re_xi=any_float(-0.7, 0.7), im_xi=any_float(-0.7, 0.7), fmt=st.sampled_from(["csv", "json"]))
-def test_evolve_any_float_input(branch, R, m, tau, re_xi, im_xi, fmt):
+def test_evolve_any_float_input(branch, R, tau, re_xi, im_xi, fmt):
     _run_twice(["evolve", *branch, "--alpha", "1/2",
-                "--xi", f"{re_xi!r}{im_xi:+}i", "--R", repr(R), "--m", repr(m),
+                "--xi", f"{re_xi!r}{im_xi:+}i", "--R", repr(R),
                 "--tau", repr(tau), "--points", "20", "--format", fmt])
 
 

@@ -4,15 +4,19 @@ evolution, and density profiles."""
 import cmath
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklkg import (
     CoherentParams,
     CurvatureCase,
     DomainError,
+    DunklKGError,
     NormalizationError,
     PhaseConvention,
     ProfileData,
@@ -23,6 +27,7 @@ from dunklkg import (
     coherent_series,
     density_profile,
     eigenfunction_x,
+    energy_pair,
     gridops,
     log_gamma,
     normalization,
@@ -146,6 +151,25 @@ def test_series_weight_times_normalization_is_n0_normalization(case, branch, alp
     assert worst <= 1e-12 * abs(n0)
 
 
+@pytest.mark.parametrize("case, branch", N0_SCALES, ids=lambda v: getattr(v, "value", v))
+def test_scale_factor_is_linear_in_R(case, branch):
+    # the shift E^2 - m^2 is R times an R-free bracket and Lambda^2 is R
+    # times the shift, so Lambda(R) = R Lambda(1) to round-off, however
+    # small R is next to the kinetic term
+    for alpha in verify.SWEEP_ALPHAS:
+        for n in range(6):
+            unit = CoherentParams.for_case(case, alpha, n, 0.0, branch=branch).lambda_scale
+            for R in (2.0**-20, 1e-4, 1e-8, 1e-10):
+                lam = CoherentParams.for_case(case, alpha, n, 0.0, R=R, branch=branch).lambda_scale
+                assert abs(lam / R - unit) <= 1e-15 * abs(unit), (alpha, n, R)
+
+
+def test_non_finite_scale_factor_raises():
+    # the shift -8R(1 + i s)^2 is finite at R = 1e200, but 2R times it is not
+    with pytest.raises(OverflowError, match="scale factor is not finite at R=1e[+]200"):
+        CoherentParams.for_case(CurvatureCase.GAUSSIAN, Fraction(1, 2), 0, 0.3, R=1e200)
+
+
 def test_suggested_terms_scales_with_xi():
     few = suggested_series_terms(params_for(Fraction(1, 2), xi=0.1 + 0.0j), 1.2)
     many = suggested_series_terms(params_for(Fraction(1, 2), xi=0.1 - 0.6j), 1.2)
@@ -166,7 +190,7 @@ def test_tau_pi_flips_real_xi():
     evolved = coherent_evolved(X_GRID, params_for(alpha, xi=0.4 + 0.0j, tau=math.pi))
     k = bargmann_index(alpha)
     flipped = CoherentParams(
-        xi=-0.4 + 0.0j, alpha=base.alpha, lambda_scale=base.lambda_scale, n_label=0
+        xi=-0.4 + 0.0j, alpha=base.alpha, lambda_scale=base.lambda_scale
     )
     expected = cmath.exp(-1j * k * math.pi) * coherent_closed_form(X_GRID, flipped)
     assert np.max(np.abs(evolved - expected)) / np.max(np.abs(expected)) < 1e-12
@@ -218,7 +242,7 @@ def test_density_vanishes_toward_origin():
 
 def test_density_normalization_error_on_underflow():
     params = CoherentParams(
-        xi=0.0 + 0.0j, alpha=Fraction(1, 2), lambda_scale=3000.0 - 4000.0j, n_label=0
+        xi=0.0 + 0.0j, alpha=Fraction(1, 2), lambda_scale=3000.0 - 4000.0j
     )
     with pytest.raises(NormalizationError):
         density_profile(np.linspace(0.5, 2.0, 100), params)
@@ -334,3 +358,81 @@ def test_profile_csv_blocks_join_into_one_body():
         for xv, val, dv in zip(prof.x, prof.values, prof.density)
     ]
     assert lines[2:-1] == expected and lines[-1] == ""
+
+
+# --- any float input: a library error, or finite values equal on a repeat ----------
+
+def mostly(good, other):
+    """Draws from ``good`` seven times in eight, else from ``other``, so that
+    a call with several inputs still succeeds often."""
+    return st.integers(0, 7).flatmap(lambda i: other if i == 0 else good)
+
+
+# st.floats() draws nan, +-inf and subnormals; R's other draws also meet 0,
+# subnormals, 1e200 (where the scale factor overflows) and 1e308 (the shift)
+ANY = st.floats()
+ANY_R = mostly(
+    st.floats(1e-3, 4), st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e200, 1e308]), ANY)
+)
+ANY_ALPHA = mostly(st.sampled_from(ALPHAS), ANY)
+ANY_XI = st.builds(complex, mostly(st.floats(-0.7, 0.7), ANY), mostly(st.floats(-0.7, 0.7), ANY))
+ANY_TAU = mostly(st.floats(-10, 10), ANY)
+CASE_BRANCH = st.sampled_from(N0_SCALES)
+N = st.integers(0, 5)
+
+
+def _twice(call):
+    """Two outcomes of ``call()``: its result, or the type and message of the
+    DunklKGError or OverflowError it raised.  Warnings count as failures."""
+    outcomes = []
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                outcomes.append(call())
+            except (DunklKGError, OverflowError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(case_branch=CASE_BRANCH, n=N, alpha=ANY_ALPHA, R=ANY_R, m=mostly(st.floats(0.1, 4), ANY))
+def test_energy_pair_any_float_input(case_branch, n, alpha, R, m):
+    first, second = _twice(lambda: energy_pair(case_branch[0], n, alpha, R, m))
+    assert repr(first) == repr(second)
+    if not isinstance(first, tuple):
+        assert all(cmath.isfinite(e2) for _, e2 in first.branches)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(case_branch=CASE_BRANCH, n=N, alpha=ANY_ALPHA, xi=ANY_XI, R=ANY_R, tau=ANY_TAU)
+def test_coherent_params_any_float_input(case_branch, n, alpha, xi, R, tau):
+    case, branch = case_branch
+    first, second = _twice(
+        lambda: CoherentParams.for_case(case, alpha, n, xi, R=R, branch=branch, tau=tau)
+    )
+    assert repr(first) == repr(second)
+    if not isinstance(first, tuple):
+        assert cmath.isfinite(first.lambda_scale) and first.lambda_scale != 0
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(case_branch=CASE_BRANCH, n=N, alpha=ANY_ALPHA, xi=ANY_XI, R=ANY_R,
+       tau=ANY_TAU, x_min=mostly(st.floats(0.001, 0.5), ANY),
+       x_max=mostly(st.floats(0.5, 3), ANY), points=st.integers(9, 20), evolved=st.booleans())
+def test_build_profile_any_float_input(case_branch, n, alpha, xi, R, tau, x_min, x_max,
+                                       points, evolved):
+    case, branch = case_branch
+    first, second = _twice(lambda: build_profile(
+        case, alpha, n, xi, R=R, branch=branch, tau=tau, x_min=x_min, x_max=x_max,
+        points=points, evolved=evolved,
+    ))
+    if isinstance(first, tuple):
+        assert first == second
+        return
+    assert repr(first.meta) == repr(second.meta)
+    for name in ("x", "values", "density"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert np.isfinite(a).all()
+        assert a.tobytes() == b.tobytes()
+    assert math.isfinite(first.meta["norm_integral"])

@@ -15,7 +15,7 @@ from dunklkg import (
     eigenfunction_r,
     eigenfunction_rows,
     eigenfunction_x,
-    energy_pair,
+    energy_shifts,
     laguerre_sequence,
     normalization,
     ode_residual,
@@ -35,9 +35,9 @@ CASE_BRANCHES = [
 ]
 
 
-def case1_lambda(n, alpha, R=1.0, m=1.0):
-    e2 = energy_pair(CurvatureCase.GAUSSIAN, n, alpha, R, m).e2_plus
-    return scale_factor(CurvatureCase.GAUSSIAN, e2, R, m)
+def case1_lambda(n, alpha, R=1.0):
+    (shift,) = energy_shifts(CurvatureCase.GAUSSIAN, n, alpha, R)
+    return scale_factor(CurvatureCase.GAUSSIAN, shift, R)
 
 
 # --- pointwise values -----------------------------------------------------------

@@ -14,6 +14,7 @@ from dunklkg import (
     build_profile,
     casimir_eigenvalue,
     energy_pair,
+    energy_shifts,
     parse_alpha,
     parse_complex,
     radial_coupling,
@@ -57,14 +58,15 @@ def test_parse_complex_rejects_garbage():
 
 
 def test_energy_pair_validates_R_and_m():
-    # the one rule for the physical inputs: finite R >= 0 and finite m > 0
+    # the one rule for each physical input: finite R >= 0 (energy_shifts)
+    # and finite m > 0 (energy_pair)
     for case in CurvatureCase:
         assert energy_pair(case, 0, Fraction(3, 2), 0.0, 1.0).e2_plus == 1.0  # flat: E^2 = m^2
         for R in (math.nan, math.inf, -math.inf, -1.0):
-            with pytest.raises(DomainError, match="need finite R >= 0 and m > 0"):
+            with pytest.raises(DomainError, match="need finite R >= 0"):
                 energy_pair(case, 0, Fraction(1, 2), R, 1.0)
         for m in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(DomainError, match="need finite R >= 0 and m > 0"):
+            with pytest.raises(DomainError, match="need finite m > 0"):
                 energy_pair(case, 0, Fraction(1, 2), 1.0, m)
 
 
@@ -125,23 +127,23 @@ def test_sigma_identity_sweep():
 # --- scale factors ---------------------------------------------------------------
 
 def test_scale_factor_case1_value():
-    e2 = energy_pair(CurvatureCase.GAUSSIAN, 0, Fraction(1, 2), 1.0, 1.0).e2_plus
-    lam = scale_factor(CurvatureCase.GAUSSIAN, e2, 1.0, 1.0)
+    (shift,) = energy_shifts(CurvatureCase.GAUSSIAN, 0, Fraction(1, 2), 1.0)
+    lam = scale_factor(CurvatureCase.GAUSSIAN, shift, 1.0)
     # (2 sqrt(3) - 4i)^2 = -4 - 16 sqrt(3) i reproduces 2R(E^2 - m^2)
     assert lam == pytest.approx(2 * math.sqrt(3) - 4j, rel=1e-12)
-    assert lam * lam == pytest.approx(2.0 * (e2 - 1.0), rel=1e-12)
+    assert lam * lam == pytest.approx(2.0 * shift, rel=1e-12)
 
 
 def test_scale_factor_unit_arguments():
-    assert scale_factor(CurvatureCase.GAUSSIAN, 1.0 + 1.0 / 2.0, 1.0, 1.0) == pytest.approx(1.0)
-    assert scale_factor(CurvatureCase.RATIONAL, 1.0 + 1.0 / 4.0, 1.0, 1.0) == pytest.approx(1.0)
-    assert scale_factor(CurvatureCase.SINC, 1.0 + 3.0, 1.0, 1.0) == pytest.approx(1.0)
-    assert scale_factor(CurvatureCase.SINC, 1.0 + 12.0, 1.0, 1.0) == pytest.approx(2.0)
+    assert scale_factor(CurvatureCase.GAUSSIAN, 1.0 / 2.0, 1.0) == pytest.approx(1.0)
+    assert scale_factor(CurvatureCase.RATIONAL, 1.0 / 4.0, 1.0) == pytest.approx(1.0)
+    assert scale_factor(CurvatureCase.SINC, 3.0, 1.0) == pytest.approx(1.0)
+    assert scale_factor(CurvatureCase.SINC, 12.0, 1.0) == pytest.approx(2.0)
 
 
 def test_scale_factor_degenerate():
     with pytest.raises(DegenerateError):
-        scale_factor(CurvatureCase.GAUSSIAN, 1.0 + 5e-15, 1.0, 1.0)
+        scale_factor(CurvatureCase.GAUSSIAN, 5e-15, 1.0)
 
 
 def test_case_from_name():

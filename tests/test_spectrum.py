@@ -128,7 +128,7 @@ def test_self_consistency_all_cases():
     for case in CurvatureCase:
         for alpha in ALPHAS:
             for n in range(6):
-                assert self_consistency_residual(case, n, alpha, 1.0, 1.0) < 1e-10
+                assert self_consistency_residual(case, n, alpha, 1.0) < 1e-10
 
 
 def test_self_consistency_per_branch():
@@ -136,13 +136,13 @@ def test_self_consistency_per_branch():
     # the scale-root sign is resolved (the squaring step loses the sign)
     for case in (CurvatureCase.RATIONAL, CurvatureCase.SINC):
         for branch in ("plus", "minus"):
-            res = self_consistency_residual(case, 2, Fraction(3, 2), 1.0, 1.0, branch=branch)
+            res = self_consistency_residual(case, 2, Fraction(3, 2), 1.0, branch=branch)
             assert res < 1e-10
 
 
 def test_self_consistency_degenerate():
     with pytest.raises(DegenerateError):
-        self_consistency_residual(CurvatureCase.GAUSSIAN, 0, Fraction(1, 2), 0.0, 1.0)
+        self_consistency_residual(CurvatureCase.GAUSSIAN, 0, Fraction(1, 2), 0.0)
 
 
 def test_beyond_reference_sweep():
@@ -154,7 +154,7 @@ def test_beyond_reference_sweep():
             for case in CurvatureCase:
                 pair = energy_pair(case, n, alpha, 1.0, 1.0)
                 assert pair.e_plus**2 == pytest.approx(pair.e2_plus, rel=1e-12)
-                assert self_consistency_residual(case, n, alpha, 1.0, 1.0) < 1e-8
+                assert self_consistency_residual(case, n, alpha, 1.0) < 1e-8
             # decaying branch stays on E_plus for the rational case
             pair2 = energy_pair(CurvatureCase.RATIONAL, n, alpha, 1.0, 1.0)
             assert pair2.e2_plus.imag < pair2.e2_minus.imag
