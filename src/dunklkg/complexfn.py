@@ -21,7 +21,9 @@ and < 1e-14 in the reflection region used by the tests.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -142,7 +144,7 @@ def log_gamma(z: complex) -> complex:
     return _LOG_SQRT_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(_lanczos_series(zz))
 
 
-def laguerre_rows(n_max: int, a: complex, z):
+def laguerre_rows(n_max: int, a: complex, z, out=None):
     """Iterator over the generalized Laguerre values L_0^a(z) .. L_nmax^a(z).
 
     The upward three-term recurrence, complex order and argument, keeping
@@ -150,21 +152,43 @@ def laguerre_rows(n_max: int, a: complex, z):
     row has its shape.  The recurrence reads the rows it yielded, so a
     caller must not modify them in place.  A negative order raises here,
     at the call, not when the first row is asked for.
+
+    ``out``, for an ndarray ``z``, is three complex arrays of z's shape
+    (say a (3,) + shape(z) array) that every row is computed in, with no
+    other array allocated; a yielded row is then overwritten when the row
+    two after it is asked for.  Each value has the same bits as without.
     """
     if n_max < 0:
         raise DomainError("laguerre order must be non-negative")
-    return _laguerre_recurrence(n_max, a, np.asarray(z, dtype=complex))
+    z = np.asarray(z, dtype=complex)
+    # a 0-d z recurs on numpy scalars, which skip the ufunc call overhead
+    return _laguerre_recurrence(n_max, a, z[()] if z.ndim == 0 else z, out)
 
 
-def _laguerre_recurrence(n_max: int, a: complex, z: np.ndarray):
-    prev = np.ones(z.shape, dtype=complex)
+def _laguerre_recurrence(n_max: int, a: complex, z, out):
+    # The one recurrence.  sub[s] and mul[s] compute into out[s] (numpy's
+    # ufuncs with out=); without ``out`` they are the operators, which give
+    # new arrays, or numpy scalars for a scalar z.  Either way each
+    # operation and its operand order are the same.
+    if out is None:
+        sub, mul = (operator.sub,) * 3, (operator.mul,) * 3
+        prev = np.ones(z.shape, dtype=complex)
+    else:
+        sub = [functools.partial(np.subtract, out=buf) for buf in out]
+        mul = [functools.partial(np.multiply, out=buf) for buf in out]
+        prev = out[0]
+        prev.fill(1.0)
     yield prev
     if n_max == 0:
         return
-    row = 1.0 + a - z
+    row = sub[1](1.0 + a, z)
     yield row
+    last, this, free = 0, 1, 2  # the slots of L_{n-1}, L_n and L_{n+1}
     for n in range(1, n_max):
-        prev, row = row, ((2 * n + 1 + a - z) * row - (n + a) * prev) / (n + 1)
+        lower = mul[last](n + a, prev)  # L_{n-1} is not read again
+        new = mul[free](sub[free](2 * n + 1 + a, z), row)
+        prev, row = row, mul[free](sub[free](new, lower), 1.0 / (n + 1))
+        last, this, free = this, free, last
         yield row
 
 

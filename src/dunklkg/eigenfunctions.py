@@ -82,16 +82,20 @@ def radial_envelope(alpha: AlphaLike, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigenfunction_rows(n_max: int, alpha: AlphaLike, r):
+def eigenfunction_rows(n_max: int, alpha: AlphaLike, r, out=None):
     """Iterator over F_0(r) .. F_nmax(r) on one ndarray ``r`` (real or complex).
 
     One ``radial_envelope`` and one Laguerre recurrence pass serve every n;
-    only the last two Laguerre rows are kept, never the whole table.
+    only the last two Laguerre rows are kept, never the whole table.  With
+    ``out``, a complex (4,) + shape(r) array, every F_n is computed in
+    out[0] and the Laguerre rows in out[1:], so each yielded row is
+    overwritten by the next.
     """
     r_arr = np.asarray(r, dtype=complex)
-    lag_rows = laguerre_rows(n_max, 2.0 * sigma_index(alpha), 1j * r_arr)
+    lag_out, f_out = (None, None) if out is None else (out[1:], out[0])
+    lag_rows = laguerre_rows(n_max, 2.0 * sigma_index(alpha), 1j * r_arr, lag_out)
     envelope = radial_envelope(alpha, r_arr)
-    return (envelope * lag for lag in lag_rows)
+    return (np.multiply(envelope, lag, out=f_out) for lag in lag_rows)
 
 
 def eigenfunction_r(n: int, alpha: AlphaLike, r):
@@ -140,7 +144,7 @@ def ode_residual(
 
 
 def row_residuals(
-    n: int, alpha: AlphaLike, r: np.ndarray, h: float, f: np.ndarray
+    n: int, alpha: AlphaLike, r: np.ndarray, h: float, f: np.ndarray, out=None
 ) -> Tuple[float, float]:
     """(Z3, ODE) residuals of given samples ``f`` of F_n on the positive grid ``r`` (spacing h).
 
@@ -148,7 +152,11 @@ def row_residuals(
     max |res| / max |F|.  The reduced equation's residual is i r times res,
     so ``ode_residual`` is max |r res| / max |F| with the two samples nearest
     each edge dropped.  The operator is written once, in ``z3_values``.
+    ``out``, a complex array shaped like ``f``, holds the residual (a new
+    array by default).
     """
-    res = z3_values(f, r, h, alpha) - (bargmann_index(alpha) + n) * f
+    res = z3_values(f, r, h, alpha, out)
+    res -= (bargmann_index(alpha) + n) * f
     scale = np.max(np.abs(f))
-    return float(np.max(np.abs(res)) / scale), float(np.max(np.abs((r * res)[2:-2])) / scale)
+    z3 = float(np.max(np.abs(res)) / scale)
+    return z3, float(np.max(np.abs(np.multiply(r, res, out=res)[2:-2])) / scale)

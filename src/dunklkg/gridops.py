@@ -39,8 +39,8 @@ POSITIVE = "positive"
 _UNIFORM_TOL = 1e-12
 _MIN_POINTS = 9
 # peak bytes per point of the heaviest positive-grid user, verify's
-# commutator diagnostics (262 measured with tracemalloc; the ladder
-# diagnostics peak at 152, a verify grid sweep at 151)
+# commutator diagnostics (248 measured with tracemalloc; a verify grid
+# sweep peaks at 185, with its work buffers, and the ladder diagnostics at 168)
 _POSITIVE_GRID_BYTES_PER_POINT = 288
 
 
@@ -82,7 +82,14 @@ class GridFunction:
             raise GridError(f"unknown domain kind {self.domain_kind!r}")
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
-        return GridFunction(self.points, values, self.h, self.domain_kind)
+        """This grid, checked when it was built, with new samples; only their
+        shape is checked."""
+        vals = np.asarray(values)
+        if vals.shape != self.points.shape:
+            raise GridError("points and values must be matching 1-D arrays")
+        out = object.__new__(GridFunction)
+        out.__dict__.update(self.__dict__, values=vals)
+        return out
 
 
 def symmetric_grid(h: float, n_per_side: int) -> np.ndarray:
@@ -128,8 +135,9 @@ _D2_EDGE0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0  # 0..5
 _D2_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0        # -1..4
 
 
-def _stencil(values: np.ndarray, h_pow: float, interior, edge0, edge1, right_sign: float):
-    """One 4th-order derivative of complex samples, h_pow = h^order.
+def _stencil(values: np.ndarray, h_pow: float, interior, edge0, edge1, right_sign: float, out=None):
+    """One 4th-order derivative of complex samples, h_pow = h^order, into
+    ``out`` (a new array by default; it must not overlap ``values``).
 
     Row i is sum_j interior[j] f[i+j-2] / (12 h_pow), summed term by term on
     the float view of f (re, im interleaved, so offsets double), then
@@ -140,7 +148,7 @@ def _stencil(values: np.ndarray, h_pow: float, interior, edge0, edge1, right_sig
     f = np.ascontiguousarray(values, dtype=complex)
     if f.ndim != 1 or f.size < _MIN_POINTS:
         raise GridError("need a 1-D array of at least 9 samples for the 4th-order stencils")
-    out = np.empty_like(f)
+    out = np.empty_like(f) if out is None else out
     g, rows = f.view(float), out.view(float)[4:-4]
     term = np.empty_like(rows)
     np.multiply(g[:rows.size], interior[0], out=rows)
@@ -160,9 +168,9 @@ def derivative_4th(values: np.ndarray, h: float) -> np.ndarray:
     return _stencil(values, h, _D1_INTERIOR, _D1_EDGE0, _D1_EDGE1, -1.0)
 
 
-def second_derivative_4th(values: np.ndarray, h: float) -> np.ndarray:
+def second_derivative_4th(values: np.ndarray, h: float, out=None) -> np.ndarray:
     """Second derivative, O(h^4) at every sample."""
-    return _stencil(values, h * h, _D2_INTERIOR, _D2_EDGE0, _D2_EDGE1, 1.0)
+    return _stencil(values, h * h, _D2_INTERIOR, _D2_EDGE0, _D2_EDGE1, 1.0, out)
 
 
 def _require(gf: GridFunction, kind: str, op: str) -> None:
@@ -180,15 +188,25 @@ def dunkl_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     return gf.with_values(out)
 
 
-def z3_values(values: np.ndarray, r: np.ndarray, h: float, alpha: AlphaLike) -> np.ndarray:
+def z3_values(
+    values: np.ndarray, r: np.ndarray, h: float, alpha: AlphaLike, out=None
+) -> np.ndarray:
     """Compact generator Z3 f = i [ r f'' + (alpha/2 + 3/16) f / r + r f / 4 ].
 
     ``values`` are samples on the positive grid ``r`` of spacing ``h``; the
     grid is not checked here (a GridFunction checks it once when built).
+    The sum is formed term by term in the result, ``out`` if given (it must
+    not overlap ``values``); f / r is f times 1 / r, which is how numpy
+    divides a complex by a real, so the bits are those of the plain formula.
     """
     c = radial_coupling(alpha)
-    d2 = second_derivative_4th(values, h)
-    return 1j * (r * d2 + c * values / r + 0.25 * r * values)
+    z3 = second_derivative_4th(values, h, out)
+    np.multiply(r, z3, out=z3)
+    term = np.multiply(c, values)
+    term *= 1.0 / r
+    z3 += term
+    z3 += np.multiply(0.25 * r, values, out=term)
+    return np.multiply(1j, z3, out=z3)
 
 
 def z3_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:

@@ -34,8 +34,6 @@ __all__ = [
 
 AlphaLike = Union[Fraction, int, float]
 
-DEGENERATE_TOL = 1e-14
-
 
 class CurvatureCase(enum.Enum):
     """The three even curvature profiles a(x) treated by the package."""
@@ -128,13 +126,14 @@ _SCALE_PREFACTOR = {
 def scale_factor(case: CurvatureCase, shift: complex, R: float) -> complex:
     """Case-specific scale (Lambda, Theta or Pi) of the shift E^2 - m^2, principal root.
 
-    Raises DegenerateError within 1e-14 of the flat configuration E^2 = m^2,
-    and OverflowError when the scale is not finite.
+    Raises DegenerateError when the scale is zero: at the flat configuration
+    E^2 = m^2 (a zero shift, or R = 0), or when the product underflows.  Any
+    other shift, however small, has its scale.  Raises OverflowError when the
+    scale is not finite.
     """
-    u = complex(shift)
-    if abs(u) < DEGENERATE_TOL:
+    scale = principal_sqrt(_SCALE_PREFACTOR[case] * R * complex(shift))
+    if scale == 0:
         raise DegenerateError("E^2 = m^2: scale factor degenerates to zero")
-    scale = principal_sqrt(_SCALE_PREFACTOR[case] * R * u)
     if not cmath.isfinite(scale):
         raise OverflowError(f"the scale factor is not finite at R={R}")
     return scale

@@ -79,11 +79,6 @@ class EnergyPair:
     def e_minus(self) -> Optional[complex]:
         return None if self.e2_minus is None else principal_sqrt(self.e2_minus)
 
-    @property
-    def branches(self) -> Tuple[Tuple[str, complex], ...]:
-        e2s = (self.e2_plus,) if self.e2_minus is None else (self.e2_plus, self.e2_minus)
-        return tuple(zip(BRANCHES, e2s))
-
 
 def _inner_s(alpha: AlphaLike) -> float:
     return (2.0 * float(alpha) - 0.25) ** 0.5

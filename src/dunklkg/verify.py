@@ -170,10 +170,11 @@ def grid_sweep(h: float) -> Tuple[float, float]:
     """Worst (Z3, ODE) ``row_residuals`` of the alpha x n sweep on the standard grid
     of spacing h; one F_n stream per alpha, one residual per row."""
     r = _checked_grid(R_MIN, R_MAX, h).points
+    work = np.empty((5, r.size), dtype=complex)  # each row's F_n stream and residual
     z3, ode = zip(*(
-        row_residuals(n, alpha, r, h, f)
+        row_residuals(n, alpha, r, h, f, work[4])
         for alpha in SWEEP_ALPHAS
-        for n, f in enumerate(eigenfunction_rows(max(SWEEP_N), alpha, r))
+        for n, f in enumerate(eigenfunction_rows(max(SWEEP_N), alpha, r, work[:4]))
     ))
     return max(z3), max(ode)
 
@@ -330,15 +331,16 @@ def _rel(residual: np.ndarray, scale: np.ndarray) -> float:
     return float(np.max(np.abs(residual[8:-8])) / np.max(np.abs(scale[8:-8])))
 
 
-def diagnostics_commutators(alpha=Fraction(1, 2)) -> List[Dict]:
+def diagnostics_commutators(rows: Callable = _diagnostic_rows, alpha=Fraction(1, 2)) -> List[Dict]:
     """Residuals of the su(1,1) relations [Z3, T+-] = +-T+- and [T+, T-] = -2 Z3.
 
     Measured on the mixture F_0 + F_1 + F_2 (on one eigenfunction Z3 acts
     as a number and the relations degenerate), relative to sup of the
     commutator.  Each operator acts on the mixture once, and
-    [A, B] f = A(B f) - B(A f) composes those results.
+    [A, B] f = A(B f) - B(A f) composes those results.  ``rows`` gives
+    F_0 .. F_2: ``_diagnostic_rows``, or a run's cache of it.
     """
-    f = _diagnostic_rows(alpha)
+    f = rows(alpha)
     mixture = f[0].with_values(f[0].values + f[1].values + f[2].values)
     z3 = z3_apply(mixture, alpha)
     tp, tm = ladder_apply(+1, mixture, alpha), ladder_apply(-1, mixture, alpha)
@@ -355,23 +357,24 @@ def diagnostics_commutators(alpha=Fraction(1, 2)) -> List[Dict]:
     ]
 
 
-def diagnostics_ladder(alpha=Fraction(1, 2)) -> List[Dict]:
+def diagnostics_ladder(rows: Callable = _diagnostic_rows, alpha=Fraction(1, 2)) -> List[Dict]:
     """Residuals of the ladder action on F_0 .. F_2:
     T+ F_n = -(n+1) F_{n+1} and T- F_n = -(n+2k-1) F_{n-1}, with T- F_0 = 0.
 
     Each record is the worst over n of sup |T+- F_n - rhs| / sup |F_n|, the
-    normalisation of the Z3 residual.
+    normalisation of the Z3 residual.  ``rows`` is as in
+    ``diagnostics_commutators``.
     """
-    rows = _diagnostic_rows(alpha)
-    f = [row.values for row in rows]
+    grid_rows = rows(alpha)
+    f = [row.values for row in grid_rows]
     below = [0.0] + f  # below[n] is F_{n-1}, and F_{-1} = 0
     k = bargmann_index(alpha)
     plus = max(
-        _rel(ladder_apply(+1, rows[n], alpha).values + (n + 1) * f[n + 1], f[n])
+        _rel(ladder_apply(+1, grid_rows[n], alpha).values + (n + 1) * f[n + 1], f[n])
         for n in range(2)
     )
     minus = max(
-        _rel(ladder_apply(-1, rows[n], alpha).values + (n + 2 * k - 1) * below[n], f[n])
+        _rel(ladder_apply(-1, grid_rows[n], alpha).values + (n + 2 * k - 1) * below[n], f[n])
         for n in range(3)
     )
     return [
@@ -436,8 +439,10 @@ def run_verification(grid_h: float = 1e-3, suite: Optional[str] = None) -> Dict:
     """
     if not (0.0 < grid_h < math.inf):
         raise DomainError(f"grid_h must be positive and finite, got {grid_h}")
-    # the four grid checks share each spacing's sweep, within this call only
+    # the four grid checks share each spacing's sweep, and the su(1,1)
+    # diagnostics their F_0 .. F_2 rows, within this call only
     sweep = functools.cache(grid_sweep)
+    rows = functools.cache(_diagnostic_rows)
     check_builders: List[tuple] = [
         ("casimir_identity", check_casimir_identity),
         ("sigma_identity", check_sigma_identity),
@@ -460,8 +465,8 @@ def run_verification(grid_h: float = 1e-3, suite: Optional[str] = None) -> Dict:
     ]
     # diagnostic builders may emit several records each
     diagnostic_builders: List[tuple] = [
-        ("commutator", diagnostics_commutators),
-        ("ladder_action", diagnostics_ladder),
+        ("commutator", lambda: diagnostics_commutators(rows)),
+        ("ladder_action", lambda: diagnostics_ladder(rows)),
         ("density_peak", diagnostics_peak_trend),
         ("self_consistency_strict_principal", diagnostics_strict_principal),
     ]

@@ -499,6 +499,33 @@ def test_overflowing_profile_exits_1_with_one_line_message(runner, command, R, m
     assert res.stderr == message
 
 
+# A tiny curvature has a tiny, nonzero scale factor: the profile is computed
+# (or fails as a computation), never refused as the flat E^2 = m^2
+@pytest.mark.parametrize(
+    "case",
+    [["--case", "gaussian"], ["--case", "rational", "--branch", "minus"],
+     ["--case", "sinc", "--branch", "plus"]],
+    ids=lambda case: " ".join(case),
+)
+def test_tiny_curvature_density_is_not_refused(runner, case):
+    res = runner.invoke(cli, ["density", "--alpha", "1/2", "--xi", "0.3", "--R", "1e-16", *case])
+    assert res.exception is None or isinstance(res.exception, SystemExit)  # no traceback
+    if res.exit_code == 1:
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    else:
+        assert res.exit_code == 0
+        rows = [line.split(",") for line in res.stdout.splitlines()[2:]]
+        assert len(rows) == 400
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+def test_flat_density_is_refused(runner):
+    res = runner.invoke(cli, ["density", "--alpha", "1/2", "--xi", "0.3", "--R", "0"])
+    assert res.exit_code == 2
+    assert res.stderr.rstrip("\n").endswith("scale factor degenerates to zero")
+
+
 # A window with an infinite end is refused before np.linspace (which would
 # warn and turn it into nan); a finite window whose density overflows fails
 # the normalization.  Numpy warnings are errors here, so none may be raised.

@@ -194,3 +194,37 @@ def test_laguerre_rows_stream_the_sequence():
     assert len({id(row) for row in rows}) == len(rows)  # each row its own array
     with pytest.raises(DomainError):
         laguerre_rows(-1, 0.5, z)  # at the call, before any row is asked for
+
+
+def divided_recurrence(n_max, a, z):
+    """L_0 .. L_nmax by the recurrence as printed, each row divided by n + 1."""
+    rows = [np.ones_like(z), 1.0 + a - z]
+    for n in range(1, n_max):
+        rows.append(((2 * n + 1 + a - z) * rows[n] - (n + a) * rows[n - 1]) / (n + 1))
+    return np.array(rows[: n_max + 1])
+
+
+def bits(x):
+    return np.asarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("a", [0.5, -0.3 + 0.8j, 2.0 + 0j])
+def test_laguerre_sequence_equals_the_divided_recurrence_bitwise(a):
+    # multiplying by 1 / (n + 1) is how numpy divides a complex by a real
+    rng = np.random.default_rng(20261019)
+    z = rng.uniform(-10, 10, 4001) + 1j * rng.uniform(-10, 10, 4001)
+    assert np.array_equal(bits(laguerre_sequence(31, a, z)), bits(divided_recurrence(31, a, z)))
+    for zi in z[:40]:  # numpy scalars
+        assert np.array_equal(
+            bits(laguerre_sequence(31, a, zi)), bits(divided_recurrence(31, a, zi))
+        )
+
+
+def test_laguerre_rows_in_buffers_equal_new_rows_bitwise():
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-10, 10, 1001) + 1j * rng.uniform(-10, 10, 1001)
+    out = np.empty((3,) + z.shape, dtype=complex)
+    fresh = laguerre_rows(12, -0.3 + 0.8j, z)
+    for row, want in zip(laguerre_rows(12, -0.3 + 0.8j, z, out), fresh):
+        assert any(np.shares_memory(row, buf) for buf in out)
+        assert np.array_equal(bits(row), bits(want))

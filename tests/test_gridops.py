@@ -17,6 +17,7 @@ from dunklkg import (
     gridops,
     ladder_apply,
     positive_grid,
+    radial_coupling,
     second_derivative_4th,
     symmetric_grid,
     z3_apply,
@@ -73,6 +74,14 @@ def test_grid_validation():
         GridFunction(np.linspace(1, 2, 10), np.zeros(10), 1.0 / 9.0, "circular")
 
 
+def test_with_values_checks_the_shape_of_new_samples():
+    gf = on_positive(lambda r: r, 0.1, 2.0, 0.01)
+    assert gf.with_values(2j * gf.points).points is gf.points  # the checked grid, reused
+    for values in (gf.points[:-1], np.ones((2, gf.points.size)), 1.0):
+        with pytest.raises(GridError):
+            gf.with_values(values)
+
+
 # --- stencils -------------------------------------------------------------------
 
 def test_first_derivative_exact_on_quartics():
@@ -102,6 +111,20 @@ def test_stencil_interior_rows_equal_complex_expressions_bitwise(h):
     d2 = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]) / (12.0 * h * h)
     assert np.array_equal(derivative_4th(f, h)[2:-2].view(np.uint64), d1.view(np.uint64))
     assert np.array_equal(second_derivative_4th(f, h)[2:-2].view(np.uint64), d2.view(np.uint64))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+def test_z3_values_equal_the_divided_formula_bitwise(alpha):
+    # f / r as f * (1 / r), and the sum formed in place, keep every bit
+    h = 1e-3
+    r = positive_grid(0.1, 20.0, h)
+    f = eigenfunction_r(3, alpha, r)
+    c = radial_coupling(alpha)
+    want = 1j * (r * second_derivative_4th(f, h) + c * f / r + 0.25 * r * f)
+    assert np.array_equal(gridops.z3_values(f, r, h, alpha).view(np.uint64), want.view(np.uint64))
+    out = np.empty_like(f)
+    assert gridops.z3_values(f, r, h, alpha, out) is out
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 def test_dunkl_richardson_ratio_on_sine():

@@ -142,8 +142,11 @@ def test_scale_factor_unit_arguments():
 
 
 def test_scale_factor_degenerate():
-    with pytest.raises(DegenerateError):
-        scale_factor(CurvatureCase.GAUSSIAN, 5e-15, 1.0)
+    # only a zero scale is refused: a zero shift, or a product that underflows
+    for shift, R in ((0.0, 1.0), (5e-15, 0.0), (5e-15, 1e-310)):
+        with pytest.raises(DegenerateError):
+            scale_factor(CurvatureCase.GAUSSIAN, shift, R)
+    assert scale_factor(CurvatureCase.GAUSSIAN, 5e-15, 1.0) == pytest.approx(1e-7)
 
 
 def test_case_from_name():

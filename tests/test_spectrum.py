@@ -112,11 +112,12 @@ def test_zero_curvature_linearity():
     # E^2(R) - m^2 is proportional to R for all three cases; recovering the
     # ratio from E^2 costs cancellation against m^2, hence the 1e-6 window
     for case in CurvatureCase:
-        for branch_idx in (0, 1):
+        for minus in (False, True):
             ratios = []
             for R in (1e-3, 1e-4, 1e-5):
                 pair = energy_pair(case, 2, Fraction(3, 2), R, 1.0)
-                e2 = pair.branches[min(branch_idx, len(pair.branches) - 1)][1]
+                # the gaussian case has only the plus branch
+                e2 = pair.e2_minus if minus and pair.e2_minus is not None else pair.e2_plus
                 ratios.append((e2 - 1.0) / R)
             assert ratios[0] == pytest.approx(ratios[1], rel=1e-6)
             assert ratios[1] == pytest.approx(ratios[2], rel=1e-6)

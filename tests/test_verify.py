@@ -4,8 +4,10 @@ per-sample definitions, and verify's BLAS-free series against its BLAS form.
 The sweeps stream F_0 .. F_5 once per (alpha, grid) and the random checks
 draw all their samples in one ``rng.uniform`` call; both must give exactly
 (``==``) the records that the public per-n residual functions and one
-``rng.uniform`` call per real or imaginary part give.  Each grid is swept
-once per ``run_verification`` call and never shared between calls.
+``rng.uniform`` call per real or imaginary part give.  Each grid is swept,
+and the su(1,1) diagnostics' F_0 .. F_2 rows are built, once per
+``run_verification`` call and never shared between calls, so two calls
+give equal reports.
 
 The Perelomov series sums in plain numpy, with no BLAS call, because BLAS
 worker threads keep spinning after each call and bill verify about twice
@@ -28,6 +30,7 @@ import os
 import platform
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +99,30 @@ def test_each_spacing_is_swept_once_per_run(monkeypatch):
     swept.clear()
     verify.run_verification(suite="ode_residual")
     assert swept == [1e-3]
+
+
+def test_diagnostic_rows_are_built_once_per_run(monkeypatch):
+    built = []
+
+    def counting(alpha):
+        built.append(alpha)
+        return original(alpha)
+
+    original = verify._diagnostic_rows
+    monkeypatch.setattr(verify, "_diagnostic_rows", counting)
+    verify.run_verification()  # the commutator and ladder builders share F_0 .. F_2
+    assert built == [Fraction(1, 2)]
+    verify.run_verification()  # a new run builds its rows again
+    assert len(built) == 2
+    built.clear()
+    verify.run_verification(suite="ladder")
+    assert built == [Fraction(1, 2)]
+
+
+def test_consecutive_runs_give_equal_reports():
+    # the sweeps' work buffers and the shared rows carry nothing into the next run
+    first = verify.report_to_json(verify.run_verification())
+    assert verify.report_to_json(verify.run_verification()) == first
 
 
 def per_sample_draws(record, low, high, per_sample=1):
