@@ -7,10 +7,20 @@ Closed form (k the Bargmann index, Lambda the case scale factor):
                  (sqrt(Lambda) x)^(2k)
                  exp[ (i Lambda x^2 / 2) (xi+1)/(xi-1) ] / (1 - xi)^(2k)
 
-with xi in the open unit disk.  The independent construction sums the
-displacement series sum_n sqrt(Gamma(n+2k)/(n! Gamma(2k))) xi^n F_n(x)
-over the eigenfunctions; agreement of the two is the principal
-correctness check of this module.
+with xi in the open unit disk.  It is evaluated as exp E(x) of one exponent
+(0 at x = 0),
+
+    E(x) = C + 2k log x + q x^2,   q = (i Lambda / 2) (xi+1)/(xi-1),
+    C = log[N_0 (1-|xi|^2)^k] + k Log Lambda - 2k Log(1-xi) + log phase,
+
+with N_0 the n = 0 eigenfunction prefactor and the log phase 0 (static) or
+that of the evolved state.  Re E and Im E are built from real arrays and one
+complex exp gives each sample, so no complex product or complex abs touches
+the samples, and the profiles do not depend on numpy's SIMD kernels.
+
+The independent construction sums the displacement series
+sum_n sqrt(Gamma(n+2k)/(n! Gamma(2k))) xi^n F_n(x) over the eigenfunctions;
+agreement of the two is the principal correctness check of this module.
 
 The closed form carries no explicit n; the quantum number enters through
 the shift E_n^2 - m^2 (free of m, so no mass enters) of the spectral
@@ -31,6 +41,7 @@ import cmath
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -39,7 +50,7 @@ import numpy as np
 
 from .complexfn import laguerre_rows, log_gamma, principal_log
 from .errors import DomainError, NormalizationError
-from .eigenfunctions import normalization, radial_envelope
+from .eigenfunctions import radial_envelope
 from .gridops import POSITIVE, GridFunction, require_memory
 from .model import (
     AlphaLike,
@@ -149,25 +160,32 @@ def coherent_closed_form(x, params: CoherentParams):
     return _closed_form(x, params.alpha, params.lambda_scale, params.xi)
 
 
-def _closed_form(x, alpha: AlphaLike, lam: complex, xi: complex):
+def _log_weight(k: complex, lam: complex, xi: complex) -> complex:
+    """Log of the weight N_0 (1-|xi|^2)^k, N_0 the n = 0 eigenfunction prefactor."""
+    return (
+        0.5 * (_LN2 + (k + 0.5) * principal_log(lam) - log_gamma(2.0 * k))
+        + k * math.log1p(-abs(xi) ** 2)
+    )
+
+
+def _closed_form(x, alpha: AlphaLike, lam: complex, xi: complex, log_phase: complex = 0j):
     k = bargmann_index(alpha)
     two_k = 2.0 * k
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < 0):
         raise DomainError("coherent states are evaluated for x >= 0")
-    log_pref = 0.5 * (
-        _LN2
-        + (k + 0.5) * principal_log(lam)
-        + two_k * math.log1p(-abs(xi) ** 2)
-        - log_gamma(two_k)
-    )
-    pref = cmath.exp(log_pref) * cmath.exp(-two_k * principal_log(1.0 - xi))
+    c = _log_weight(k, lam, xi) + k * principal_log(lam) - two_k * principal_log(1.0 - xi)
+    c += log_phase
+    q = 0.5j * lam * (xi + 1.0) / (xi - 1.0)
     out = np.zeros_like(x_arr, dtype=complex)
     nz = x_arr > 0
-    log_base = 0.5 * principal_log(lam) + np.log(x_arr[nz])
-    mobius = (xi + 1.0) / (xi - 1.0)
-    out[nz] = pref * np.exp(two_k * log_base) * np.exp(0.5j * lam * x_arr[nz] ** 2 * mobius)
+    x_nz = x_arr[nz]
+    log_x, x_sq = np.log(x_nz), x_nz * x_nz
+    exponent = np.empty(x_nz.shape, dtype=complex)
+    exponent.real = c.real + two_k.real * log_x + q.real * x_sq
+    exponent.imag = c.imag + two_k.imag * log_x + q.imag * x_sq
+    out[nz] = np.exp(exponent)
     if scalar:
         return complex(out[0])
     return out
@@ -218,8 +236,7 @@ def coherent_series(x, params: CoherentParams, n_terms: Optional[int] = None):
         total += xi_pow * row
         xi_pow *= params.xi
     total *= radial_envelope(alpha, r)
-    k = bargmann_index(alpha)
-    total *= normalization(0, alpha, lam) * cmath.exp(k * math.log1p(-abs(params.xi) ** 2))
+    total *= cmath.exp(_log_weight(bargmann_index(alpha), lam, params.xi))
     if scalar:
         return complex(total[0])
     return total
@@ -235,10 +252,10 @@ def coherent_evolved(x, params: CoherentParams):
     k = bargmann_index(params.alpha)
     rotated = params.xi * cmath.exp(-1j * params.tau)
     if params.phase_convention is PhaseConvention.CORRECTED:
-        phase = cmath.exp(-1j * k * params.tau)
+        log_phase = -1j * k * params.tau
     else:
-        phase = cmath.exp(-1j * k)
-    return phase * _closed_form(x, params.alpha, params.lambda_scale, rotated)
+        log_phase = -1j * k
+    return _closed_form(x, params.alpha, params.lambda_scale, rotated, log_phase)
 
 
 def _require_window(x_min: float, x_max: float) -> None:
@@ -246,18 +263,20 @@ def _require_window(x_min: float, x_max: float) -> None:
         raise DomainError(
             f"density grid must be finite with 0 < x_min < x_max, got [{x_min}, {x_max}]"
         )
+    if not math.isfinite(x_max * x_max):  # x^2 is the variable of the exponent
+        raise DomainError(f"density grid needs a finite x_max^2, got x_max = {x_max}")
 
 
 def _normalized_density(x_arr: np.ndarray, params: CoherentParams, evolved: bool):
     """Amplitudes, normalized density, and the raw trapezoidal integral."""
     if x_arr.size < 2:
         raise DomainError(f"density grid needs at least 2 points, got {x_arr.size}")
-    _require_window(x_arr[0], x_arr[-1])
+    _require_window(float(x_arr[0]), float(x_arr[-1]))
     with np.errstate(all="ignore"):  # overflow shows as a non-finite integral
         values = coherent_evolved(x_arr, params) if evolved else coherent_closed_form(x_arr, params)
-        dens = np.abs(values) ** 2
+        dens = values.real * values.real + values.imag * values.imag
         integral = float(np.trapezoid(dens, x_arr))
-    if not math.isfinite(integral) or integral < 1e-300:
+    if not math.isfinite(integral) or integral < sys.float_info.min:  # subnormal
         raise NormalizationError(f"raw density integral {integral} cannot be normalized")
     return values, dens / integral, integral
 
@@ -266,7 +285,7 @@ def density_profile(x_grid, params: CoherentParams, evolved: bool = False) -> Gr
     """Normalized |R|^2 on the grid; integrates to 1 by trapezoidal rule.
 
     Raises NormalizationError when the raw integral is non-finite or below
-    1e-300 (nothing to normalize).
+    sys.float_info.min, where it is subnormal and has lost precision.
     """
     x_arr = np.asarray(x_grid, dtype=float)
     _, dens, _ = _normalized_density(x_arr, params, evolved)

@@ -14,6 +14,7 @@ D f = f' + (alpha/x)(1 - P) f with P the parity operator.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -99,7 +100,9 @@ def symmetric_grid(h: float, n_per_side: int) -> np.ndarray:
 
 
 def positive_grid(r_min: float, r_max: float, h: float) -> np.ndarray:
-    n = int(round((r_max - r_min) / h))
+    span = (r_max - r_min) / h
+    # a spacing so fine that the count overflows needs more than any memory
+    n = round(span) if math.isfinite(span) else math.inf
     require_memory(n + 1, _POSITIVE_GRID_BYTES_PER_POINT)
     return r_min + h * np.arange(n + 1)
 

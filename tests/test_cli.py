@@ -1,7 +1,11 @@
 """Command-line surface: formats, exit codes, determinism, config handling."""
 
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from fractions import Fraction
@@ -13,6 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dunklkg
 from dunklkg import CurvatureCase, build_profile, gridops
 from dunklkg.cli import cli
 
@@ -416,13 +421,15 @@ def test_bad_input_exits_2_with_one_line_message(runner, args):
     assert res.stderr.rstrip("\n").endswith(errors[0])
 
 
-# Both grids (1e15 and 2e14 points) exceed physical memory, and any address
-# space, so the size estimate refuses them before anything is allocated.
+# The grids (1e15 and 2e14 points, and a count that overflows to inf at the
+# least subnormal spacing) exceed physical memory, and any address space, so
+# the size estimate refuses them before anything is allocated.
 @pytest.mark.parametrize(
     "args",
     [
         ["density", "--alpha", "1/2", "--xi", "0.3", "--points", "1000000000000000"],
         ["verify", "--suite", "ode_residual", "--grid-h", "1e-13"],
+        ["verify", "--suite", "z3_eigenvalue", "--grid-h", "5e-324"],
     ],
     ids=lambda args: " ".join(args),
 )
@@ -520,6 +527,22 @@ def test_tiny_curvature_density_is_not_refused(runner, case):
         assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
 
+def test_density_with_tiny_normal_integral_is_normalized(runner):
+    # at R = 1e-152 the raw density integral is about 1.4e-301: below the old
+    # 1e-300 floor, but a normal float that can be divided by
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = runner.invoke(cli, ["density", "--alpha", "1/2", "--xi", "0.3", "--R", "1e-152"])
+    assert res.exit_code == 0
+    assert res.stderr == ""
+    header, _, *lines = res.stdout.splitlines()
+    assert header.endswith(" warning=")  # no warning in the metadata either
+    assert 1e-302 < float(re.search(r"norm_integral=(\S+)", header).group(1)) < 1e-300
+    rows = np.array([line.split(",") for line in lines], dtype=float)
+    assert rows.shape == (400, 4) and np.all(np.isfinite(rows))
+    assert np.trapezoid(rows[:, 3], rows[:, 0]) == pytest.approx(1.0, rel=1e-6)
+
+
 def test_flat_density_is_refused(runner):
     res = runner.invoke(cli, ["density", "--alpha", "1/2", "--xi", "0.3", "--R", "0"])
     assert res.exit_code == 2
@@ -527,8 +550,9 @@ def test_flat_density_is_refused(runner):
 
 
 # A window with an infinite end is refused before np.linspace (which would
-# warn and turn it into nan); a finite window whose density overflows fails
-# the normalization.  Numpy warnings are errors here, so none may be raised.
+# warn and turn it into nan), and so is one whose x_max^2, the variable of the
+# closed form's exponent, overflows.  Numpy warnings are errors here, so none
+# may be raised.
 @pytest.mark.parametrize(
     "window, code, message",
     [
@@ -536,7 +560,8 @@ def test_flat_density_is_refused(runner):
          "Error: density grid must be finite with 0 < x_min < x_max, got [0.01, inf]"),
         (["--x-min", "-inf"], 2,
          "Error: density grid must be finite with 0 < x_min < x_max, got [-inf, 2.0]"),
-        (["--x-max", "1e308"], 1, "error: raw density integral nan cannot be normalized"),
+        (["--x-max", "1e308"], 2,
+         "Error: density grid needs a finite x_max^2, got x_max = 1e+308"),
     ],
     ids=["x-max inf", "x-min -inf", "x-max 1e308"],
 )
@@ -727,6 +752,38 @@ def test_output_matches_golden_file(runner, tmp_path, name, args):
     out = tmp_path / name
     assert invoke(runner, args + ["-o", str(out)]).exit_code == 0
     assert out.read_bytes() == golden
+
+
+# writes the output of each (name, args) pair of argv[2] to the file of that
+# name in directory argv[1], from one interpreter
+_GOLDEN_CHILD = """
+import json, sys
+from pathlib import Path
+from click.testing import CliRunner
+from dunklkg.cli import cli
+for name, args in json.loads(sys.argv[2]):
+    res = CliRunner().invoke(cli, args, catch_exceptions=False)
+    assert res.exit_code == 0, (name, res.stderr)
+    (Path(sys.argv[1]) / name).write_bytes(res.stdout_bytes)
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="NPY_DISABLE_CPU_FEATURES names x86 feature groups",
+)
+def test_golden_files_without_avx2(tmp_path):
+    # numpy's AVX2/AVX-512 kernels are off in the child only; every golden
+    # must come out with the same bytes
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4")
+    src = str(Path(dunklkg.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", _GOLDEN_CHILD, str(tmp_path), json.dumps(GOLDEN_CALLS)],
+        env=env, check=True,
+    )
+    for name, _ in GOLDEN_CALLS:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 # --- any float input: an exit code, never a traceback or a NaN ---------------------

@@ -248,6 +248,14 @@ def test_density_normalization_error_on_underflow():
         density_profile(np.linspace(0.5, 2.0, 100), params)
 
 
+def test_density_grid_whose_square_overflows_is_refused_without_warning():
+    # x^2 is the variable of the closed form's exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite x_max\\^2"):
+            density_profile(np.array([1.0, 1e200]), params_for(Fraction(1, 2)))
+
+
 def test_build_profile_metadata_and_warning():
     prof = build_profile(CurvatureCase.GAUSSIAN, Fraction(7, 2), 0, 0.5 + 0.2j, points=50)
     assert prof.meta["warning"]  # figure-note instability flagged, not hidden

@@ -20,6 +20,9 @@ relation and nothing else.
 
 A subprocess run with numpy's AVX2 and AVX-512 kernels disabled must give
 the same records wherever the report does not depend on SIMD dispatch.
+
+Any float ``grid_h`` ends in a report or in an error that the CLI turns
+into exit 1 or 2, the same on a repeat.
 """
 
 import ast
@@ -35,6 +38,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklkg import (
     CoherentParams,
@@ -50,6 +55,7 @@ from dunklkg import (
     z3_eigenvalue_residual,
 )
 from dunklkg.eigenfunctions import radial_envelope
+from dunklkg.errors import DunklKGError
 
 
 def sweep_max(residual, h):
@@ -123,6 +129,42 @@ def test_consecutive_runs_give_equal_reports():
     # the sweeps' work buffers and the shared rows carry nothing into the next run
     first = verify.report_to_json(verify.run_verification())
     assert verify.report_to_json(verify.run_verification()) == first
+
+
+# Any float spacing: st.floats() draws nan, +-inf, 0, negatives, subnormals and
+# 1e308.  Spacings in [1e-12, 1e-3) are left out: they allocate sweeps of 20k
+# to 2e13 points, limited only by physical memory.  Below 1e-12 a sweep would
+# need petabytes, so the memory estimate refuses it before any allocation.
+# Above about 0.4 the grid has too few points; (1e-3, 0.1) gives reports.
+GRID_H = st.one_of(
+    st.floats().filter(lambda h: not 1e-12 <= h < 1e-3),
+    st.sampled_from([5e-324, 1e-300, 1e308]),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 0.1),
+)
+
+
+def z3_report_or_error(grid_h):
+    """The z3_eigenvalue report as JSON text, or the type and message of the
+    error that the CLI turns into exit 1 or 2."""
+    try:
+        return verify.report_to_json(verify.run_verification(grid_h=grid_h, suite="z3_eigenvalue"))
+    except (DunklKGError, MemoryError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(grid_h=GRID_H)
+def test_any_grid_spacing_gives_a_report_or_an_error(grid_h):
+    first = z3_report_or_error(grid_h)
+    assert z3_report_or_error(grid_h) == first
+    if isinstance(first, tuple):
+        if first[0] is MemoryError:
+            assert first[1].startswith("Unable to allocate about ")
+        return
+    (record,) = json.loads(first)["checks"]
+    assert record["name"] == "z3_eigenvalue" and record["status"] in ("pass", "fail")
+    assert record["status"] == "fail" or math.isfinite(record["measured"])
 
 
 def per_sample_draws(record, low, high, per_sample=1):
@@ -252,12 +294,14 @@ def test_no_blas_call_in_verify_path(module):
 # --- records that do not depend on numpy's SIMD dispatch ---------------------------
 
 # Checks and diagnostics whose records are the same whichever SIMD kernels
-# numpy dispatches; the grid, series and density-valued records still move
-# in their last digits without AVX2 (real exp, complex abs, real power).
+# numpy dispatches; the four grid checks, the series agreement and the three
+# commutators still move in their last digits without AVX2, through the
+# complex products of the Laguerre recurrence and the eigenfunction envelope.
 DISPATCH_INVARIANT = (
     "casimir_identity", "sigma_identity", "table1_reproduction", "table2_reproduction",
-    "self_consistency", "tau_zero_reduction", "laguerre_recurrence", "gamma_recurrence",
-    "gamma_reflection", "sqrt_square_roundtrip", "pow_identities",
+    "self_consistency", "xi_zero_reduction", "tau_zero_reduction", "tau_periodicity",
+    "laguerre_recurrence", "gamma_recurrence", "gamma_reflection", "sqrt_square_roundtrip",
+    "pow_identities", "ladder_action_plus", "ladder_action_minus",
     "density_peak_vs_n", "density_peak_vs_alpha", "self_consistency_strict_principal_max",
 )
 
