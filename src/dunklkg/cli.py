@@ -303,10 +303,10 @@ cmd_evolve.help = "Emit time-evolved normalized density profiles."
 def cmd_verify(suite, grid_h, output):
     """Run the verification suite; exit 0 iff every assertable check passes.
 
-    Measured-only diagnostics (the su(1,1) commutator relations and ladder
-    action of Z3 and T+-, density-peak trends, the strict-principal
-    residual) are included in the JSON report but never affect the exit
-    code.
+    Measured-only diagnostics (the su(1,1) ladder action of T+- on the
+    eigenfunctions, which with the Z3 check gives the commutation relations,
+    density-peak trends, the strict-principal residual) are included in the
+    JSON report but never affect the exit code.
     """
     report = run_verification(grid_h=grid_h, suite=suite)
     _emit(report_to_json(report), output)

@@ -39,10 +39,10 @@ POSITIVE = "positive"
 
 _UNIFORM_TOL = 1e-12
 _MIN_POINTS = 9
-# peak bytes per point of the heaviest positive-grid user, verify's
-# commutator diagnostics (248 measured with tracemalloc; a verify grid
-# sweep peaks at 185, with its work buffers, and the ladder diagnostics at 168)
-_POSITIVE_GRID_BYTES_PER_POINT = 288
+# peak bytes per point of the heaviest positive-grid user, a verify grid
+# sweep with its work buffers (185 measured with tracemalloc at h = 1e-3; the
+# ladder diagnostics on F_0 .. F_3 peak at 184), with a 16 % margin
+_POSITIVE_GRID_BYTES_PER_POINT = 216
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,9 @@ def require_memory(points: int, bytes_per_point: int) -> None:
     """
     need, have = points * bytes_per_point, _physical_memory()
     if need > have:
+        count = points if points < 10**15 else f"{points:.3g}"  # at most 15 digits in full
         raise MemoryError(
-            f"Unable to allocate about {need / 2**30:.3g} GiB for a grid of {points} points; "
+            f"Unable to allocate about {need / 2**30:.3g} GiB for a grid of {count} points; "
             f"physical memory is {have / 2**30:.3g} GiB"
         )
 
@@ -236,5 +237,4 @@ def ladder_apply(sign: int, gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     s = -float(sign)  # T_plus carries -r d/dr
     r = gf.points
     d1 = derivative_4th(gf.values, gf.h)
-    z3 = z3_values(gf.values, r, gf.h, alpha)
-    return gf.with_values(s * r * d1 + 0.5j * r * gf.values - z3)
+    return gf.with_values(s * r * d1 + 0.5j * r * gf.values - z3_apply(gf, alpha).values)

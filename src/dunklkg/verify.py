@@ -3,9 +3,21 @@
 Assertable checks carry a tolerance and a pass/fail status; diagnostics
 are reported with status ``measured`` and never gate anything.  Among the
 diagnostics, the su(1,1) algebra of Z3 and the ladder pair T+- of
-``gridops.ladder_apply`` is measured at h = DIAGNOSTIC_H: one residual per
-commutator relation, [Z3, T+-] = +-T+- and [T+, T-] = -2 Z3, and one per
-direction of the ladder action on F_0 .. F_2.
+``gridops.ladder_apply`` is measured at h = DIAGNOSTIC_H as one residual per
+direction of the ladder action on F_0 .. F_3:
+T+ F_n = -(n+1) F_{n+1} for n = 0..2 and T- F_n = -(n+2k-1) F_{n-1} for
+n = 0..3.  With Z3 F_n = (k+n) F_n (the ``z3_eigenvalue`` check), these
+actions give the three commutation relations on span{F_0, F_1, F_2}, one
+line each (Perelomov, *Generalized Coherent States*, 1986, ch. 5; DLMF 18.9):
+
+    [Z3, T+] F_n = ((k+n+1) - (k+n)) T+ F_n = T+ F_n,
+    [Z3, T-] F_n = ((k+n-1) - (k+n)) T- F_n = -T- F_n,
+    [T+, T-] F_n = (n (n+2k-1) - (n+1) (n+2k)) F_n = -2 (k+n) F_n = -2 Z3 F_n.
+
+For n = 0..2 they read T+ on F_0 .. F_2 and T- on F_0 .. F_3, the records'
+range.  Composing the stencils to form the commutators again would measure
+only how the stencils compose: that round-off floor rises about 8x per
+halving of h.
 
 Each assertable record also carries the inputs that fix what it measured:
 the grid spacing ``h`` of the residual bounds, ``h_coarse``/``h_fine`` of
@@ -57,7 +69,6 @@ from .gridops import (
     GridFunction,
     ladder_apply,
     positive_grid,
-    z3_apply,
 )
 from .model import (
     CurvatureCase,
@@ -82,7 +93,7 @@ R_MIN, R_MAX = 0.1, 20.0
 SERIES_X = np.linspace(0.01, 1.2, 120)
 DENSITY_X = np.linspace(0.01, 2.0, 400)
 
-# spacing of the su(1,1) commutator and ladder diagnostics
+# spacing of the su(1,1) ladder diagnostics
 DIAGNOSTIC_H = 0.002
 # minimum spacings for the h -> h/2 convergence diagnostics (see module doc)
 ODE_CONV_H = 0.004
@@ -319,63 +330,33 @@ def check_pow_identities() -> Dict:
 # measured-only diagnostics
 # ---------------------------------------------------------------------------
 
-def _diagnostic_rows(alpha) -> List[GridFunction]:
-    """F_0 .. F_2 from one pass on the standard grid of spacing DIAGNOSTIC_H."""
-    r = _checked_grid(R_MIN, R_MAX, DIAGNOSTIC_H)
-    return [r.with_values(f) for f in eigenfunction_rows(2, alpha, r.points)]
-
-
 def _rel(residual: np.ndarray, scale: np.ndarray) -> float:
-    """sup |residual| / sup |scale| over the interior margin (8 samples per
-    edge), where the composed stencils are clean."""
+    """sup |residual| / sup |scale| over the interior, 8 samples in from each
+    edge: clear of the stencils' one-sided edge rows (2 samples in).  The
+    margin is part of what the ladder records measure, so it stays fixed."""
     return float(np.max(np.abs(residual[8:-8])) / np.max(np.abs(scale[8:-8])))
 
 
-def diagnostics_commutators(rows: Callable = _diagnostic_rows, alpha=Fraction(1, 2)) -> List[Dict]:
-    """Residuals of the su(1,1) relations [Z3, T+-] = +-T+- and [T+, T-] = -2 Z3.
-
-    Measured on the mixture F_0 + F_1 + F_2 (on one eigenfunction Z3 acts
-    as a number and the relations degenerate), relative to sup of the
-    commutator.  Each operator acts on the mixture once, and
-    [A, B] f = A(B f) - B(A f) composes those results.  ``rows`` gives
-    F_0 .. F_2: ``_diagnostic_rows``, or a run's cache of it.
-    """
-    f = rows(alpha)
-    mixture = f[0].with_values(f[0].values + f[1].values + f[2].values)
-    z3 = z3_apply(mixture, alpha)
-    tp, tm = ladder_apply(+1, mixture, alpha), ladder_apply(-1, mixture, alpha)
-    com_zp = z3_apply(tp, alpha).values - ladder_apply(+1, z3, alpha).values
-    com_zm = z3_apply(tm, alpha).values - ladder_apply(-1, z3, alpha).values
-    com_pm = ladder_apply(+1, tm, alpha).values - ladder_apply(-1, tp, alpha).values
-    return [
-        _diagnostic(name, _rel(residual, com), h=DIAGNOSTIC_H)
-        for name, residual, com in (
-            ("commutator_z3_tplus", com_zp - tp.values, com_zp),
-            ("commutator_z3_tminus", com_zm + tm.values, com_zm),
-            ("commutator_tplus_tminus", com_pm + 2.0 * z3.values, com_pm),
-        )
-    ]
-
-
-def diagnostics_ladder(rows: Callable = _diagnostic_rows, alpha=Fraction(1, 2)) -> List[Dict]:
-    """Residuals of the ladder action on F_0 .. F_2:
+def diagnostics_ladder(alpha=Fraction(1, 2)) -> List[Dict]:
+    """Residuals of the ladder action on F_0 .. F_3:
     T+ F_n = -(n+1) F_{n+1} and T- F_n = -(n+2k-1) F_{n-1}, with T- F_0 = 0.
 
-    Each record is the worst over n of sup |T+- F_n - rhs| / sup |F_n|, the
-    normalisation of the Z3 residual.  ``rows`` is as in
-    ``diagnostics_commutators``.
+    F_0 .. F_3 come from one pass on the standard grid of spacing
+    DIAGNOSTIC_H.  Each record is the worst over n of
+    sup |T+- F_n - rhs| / sup |F_n|, the normalisation of the Z3 residual.
     """
-    grid_rows = rows(alpha)
+    grid = _checked_grid(R_MIN, R_MAX, DIAGNOSTIC_H)
+    grid_rows = [grid.with_values(row) for row in eigenfunction_rows(3, alpha, grid.points)]
     f = [row.values for row in grid_rows]
     below = [0.0] + f  # below[n] is F_{n-1}, and F_{-1} = 0
     k = bargmann_index(alpha)
     plus = max(
         _rel(ladder_apply(+1, grid_rows[n], alpha).values + (n + 1) * f[n + 1], f[n])
-        for n in range(2)
+        for n in range(3)
     )
     minus = max(
         _rel(ladder_apply(-1, grid_rows[n], alpha).values + (n + 2 * k - 1) * below[n], f[n])
-        for n in range(3)
+        for n in range(4)
     )
     return [
         _diagnostic("ladder_action_plus", plus, h=DIAGNOSTIC_H),
@@ -439,10 +420,8 @@ def run_verification(grid_h: float = 1e-3, suite: Optional[str] = None) -> Dict:
     """
     if not (0.0 < grid_h < math.inf):
         raise DomainError(f"grid_h must be positive and finite, got {grid_h}")
-    # the four grid checks share each spacing's sweep, and the su(1,1)
-    # diagnostics their F_0 .. F_2 rows, within this call only
+    # the four grid checks share each spacing's sweep, within this call only
     sweep = functools.cache(grid_sweep)
-    rows = functools.cache(_diagnostic_rows)
     check_builders: List[tuple] = [
         ("casimir_identity", check_casimir_identity),
         ("sigma_identity", check_sigma_identity),
@@ -465,8 +444,7 @@ def run_verification(grid_h: float = 1e-3, suite: Optional[str] = None) -> Dict:
     ]
     # diagnostic builders may emit several records each
     diagnostic_builders: List[tuple] = [
-        ("commutator", lambda: diagnostics_commutators(rows)),
-        ("ladder_action", lambda: diagnostics_ladder(rows)),
+        ("ladder_action", diagnostics_ladder),
         ("density_peak", diagnostics_peak_trend),
         ("self_consistency_strict_principal", diagnostics_strict_principal),
     ]

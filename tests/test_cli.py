@@ -421,15 +421,17 @@ def test_bad_input_exits_2_with_one_line_message(runner, args):
     assert res.stderr.rstrip("\n").endswith(errors[0])
 
 
-# The grids (1e15 and 2e14 points, and a count that overflows to inf at the
-# least subnormal spacing) exceed physical memory, and any address space, so
-# the size estimate refuses them before anything is allocated.
+# The grids (1e15, 2e14 and 2e301 points, and a count that overflows to inf
+# at the least subnormal spacing) exceed physical memory, and any address
+# space, so the size estimate refuses them before anything is allocated.  A
+# count past 15 digits is printed to 3 significant digits, so the line stays short.
 @pytest.mark.parametrize(
     "args",
     [
         ["density", "--alpha", "1/2", "--xi", "0.3", "--points", "1000000000000000"],
         ["verify", "--suite", "ode_residual", "--grid-h", "1e-13"],
         ["verify", "--suite", "z3_eigenvalue", "--grid-h", "5e-324"],
+        ["verify", "--suite", "z3_eigenvalue", "--grid-h", "1e-300"],
     ],
     ids=lambda args: " ".join(args),
 )
@@ -440,6 +442,7 @@ def test_unallocatable_grid_exits_1_with_one_line_message(runner, args):
     assert res.stdout == ""
     assert res.stderr.startswith("error: Unable to allocate")
     assert res.stderr.count("\n") == 1
+    assert len(res.stderr) <= 120
 
 
 def test_unlistable_n_range_exits_1_with_one_line_message(runner):
@@ -674,8 +677,9 @@ def test_verify_single_suite(runner):
 
 
 def test_verify_unknown_suite(runner):
-    res = runner.invoke(cli, ["verify", "--suite", "nonexistent"])
-    assert res.exit_code == 2
+    for suite in ("nonexistent", "commutator"):
+        res = runner.invoke(cli, ["verify", "--suite", suite])
+        assert res.exit_code == 2
 
 
 def test_verify_output_to_file(runner, tmp_path):

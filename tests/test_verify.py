@@ -4,10 +4,9 @@ per-sample definitions, and verify's BLAS-free series against its BLAS form.
 The sweeps stream F_0 .. F_5 once per (alpha, grid) and the random checks
 draw all their samples in one ``rng.uniform`` call; both must give exactly
 (``==``) the records that the public per-n residual functions and one
-``rng.uniform`` call per real or imaginary part give.  Each grid is swept,
-and the su(1,1) diagnostics' F_0 .. F_2 rows are built, once per
-``run_verification`` call and never shared between calls, so two calls
-give equal reports.
+``rng.uniform`` call per real or imaginary part give.  Each grid is swept
+once per ``run_verification`` call and never shared between calls, so two
+calls give equal reports.
 
 The Perelomov series sums in plain numpy, with no BLAS call, because BLAS
 worker threads keep spinning after each call and bill verify about twice
@@ -15,8 +14,9 @@ its wall time in CPU.  Here it is held to the matrix-product form it
 replaces, at a tolerance fixed from the reassociated sums, and an ``ast``
 scan keeps BLAS out of ``verify.py`` and ``coherent.py``.
 
-The ``ladder`` and ``commutator`` suites report one record per su(1,1)
-relation and nothing else.
+The ``ladder`` suite reports one record per direction of the su(1,1)
+ladder action and nothing else; the commutation relations follow from
+those actions and the Z3 eigenvalue relation, so no suite measures them.
 
 A subprocess run with numpy's AVX2 and AVX-512 kernels disabled must give
 the same records wherever the report does not depend on SIMD dispatch.
@@ -33,7 +33,6 @@ import os
 import platform
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -107,26 +106,8 @@ def test_each_spacing_is_swept_once_per_run(monkeypatch):
     assert swept == [1e-3]
 
 
-def test_diagnostic_rows_are_built_once_per_run(monkeypatch):
-    built = []
-
-    def counting(alpha):
-        built.append(alpha)
-        return original(alpha)
-
-    original = verify._diagnostic_rows
-    monkeypatch.setattr(verify, "_diagnostic_rows", counting)
-    verify.run_verification()  # the commutator and ladder builders share F_0 .. F_2
-    assert built == [Fraction(1, 2)]
-    verify.run_verification()  # a new run builds its rows again
-    assert len(built) == 2
-    built.clear()
-    verify.run_verification(suite="ladder")
-    assert built == [Fraction(1, 2)]
-
-
 def test_consecutive_runs_give_equal_reports():
-    # the sweeps' work buffers and the shared rows carry nothing into the next run
+    # the sweeps' work buffers carry nothing into the next run
     first = verify.report_to_json(verify.run_verification())
     assert verify.report_to_json(verify.run_verification()) == first
 
@@ -234,7 +215,6 @@ def test_gamma_reflection_equals_choice_draws():
 
 @pytest.mark.parametrize("suite, names", [
     ("ladder", ["ladder_action_plus", "ladder_action_minus"]),
-    ("commutator", ["commutator_z3_tplus", "commutator_z3_tminus", "commutator_tplus_tminus"]),
 ])
 def test_su11_suites_report_one_record_per_relation(suite, names):
     report = verify.run_verification(suite=suite)
@@ -294,9 +274,10 @@ def test_no_blas_call_in_verify_path(module):
 # --- records that do not depend on numpy's SIMD dispatch ---------------------------
 
 # Checks and diagnostics whose records are the same whichever SIMD kernels
-# numpy dispatches; the four grid checks, the series agreement and the three
-# commutators still move in their last digits without AVX2, through the
-# complex products of the Laguerre recurrence and the eigenfunction envelope.
+# numpy dispatches: 18 of the report's 23 records.  The other 5, the four
+# grid checks and the series agreement, still move in their last digits
+# without AVX2, through the complex products of the Laguerre recurrence and
+# the eigenfunction envelope.
 DISPATCH_INVARIANT = (
     "casimir_identity", "sigma_identity", "table1_reproduction", "table2_reproduction",
     "self_consistency", "xi_zero_reduction", "tau_zero_reduction", "tau_periodicity",
