@@ -58,7 +58,6 @@ from .gridops import (
 from .model import (
     CurvatureCase,
     bargmann_index,
-    casimir_eigenvalue,
     parse_alpha,
     parse_complex,
     radial_coupling,
@@ -76,6 +75,6 @@ from .spectrum import (
     table_to_csv,
     table_to_json,
 )
-from .verify import run_verification, z3_eigenvalue_residual
+from .verify import run_verification
 
 __version__ = "0.1.0"

@@ -240,13 +240,15 @@ def cmd_table(table_id, tol, format, output):
         raise click.exceptions.Exit(1)
 
 
-def _profile_command(evolved: bool):
+def _profile_command(tau_required: bool):
+    """A profile command: every profile is the evolved state at its tau
+    (at tau = 0 under the corrected convention, the static state bit for bit)."""
     @_CASE
     @click.option("--alpha", required=True, help="half-odd rational 'p/2'")
     @click.option("--xi", required=True, help="complex literal, e.g. 0.5+0.2i")
     @click.option("--n", default="0", show_default=True, help="'lo..hi' or comma list")
-    @click.option("--tau", default=None if evolved else "0", show_default=True,
-                  required=evolved, help="comma list of evolution times")
+    @click.option("--tau", default=None if tau_required else "0", show_default=True,
+                  required=tau_required, help="comma list of evolution times")
     @click.option("--branch", type=click.Choice(["plus", "minus"]), default=None,
                   help="spectral branch (required for rational/sinc)")
     @click.option("--phase-convention", default=PhaseConvention.CORRECTED.value,
@@ -271,7 +273,7 @@ def _profile_command(evolved: bool):
             build_profile(
                 case, alpha, n_i, xi, R=R, branch=branch, tau=tau_i,
                 phase_convention=PhaseConvention(phase_convention),
-                x_min=x_min, x_max=x_max, points=points, evolved=evolved,
+                x_min=x_min, x_max=x_max, points=points, evolved=True,
             )
             for n_i in n_list
             for tau_i in tau_list
@@ -288,16 +290,16 @@ def _profile_command(evolved: bool):
     return command
 
 
-cmd_density = cli.command("density")(_profile_command(evolved=False))
+cmd_density = cli.command("density")(_profile_command(tau_required=False))
 cmd_density.help = "Emit normalized density profiles, one block per (n, tau)."
-cmd_evolve = cli.command("evolve")(_profile_command(evolved=True))
+cmd_evolve = cli.command("evolve")(_profile_command(tau_required=True))
 cmd_evolve.help = "Emit time-evolved normalized density profiles."
 
 
 @cli.command("verify")
 @click.option("--suite", default=None, help="substring filter on check names")
 @click.option("--grid-h", default=1e-3, show_default=True, type=float)
-@click.option("-o", "--output", default=None)
+@_OUTPUT
 @_exit_codes
 @_opens_output
 def cmd_verify(suite, grid_h, output):

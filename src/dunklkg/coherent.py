@@ -60,7 +60,7 @@ from .model import (
     scale_factor,
     sigma_index,
 )
-from .spectrum import BRANCHES, CSV_FLOAT, csv_field, csv_text, energy_shifts, json_records
+from .spectrum import BRANCHES, CSV_FLOAT, csv_field, csv_text, energy_shifts
 
 __all__ = [
     "CoherentParams",
@@ -350,12 +350,26 @@ class ProfileData:
 _SAMPLES_MARKER = "\0samples\0"
 
 
+def _samples_template(rows: int) -> str:
+    """A samples array of ``rows`` records laid out as json.dumps(..., indent=2)
+    lays it out in the document (three levels deep), as a ``%`` template with
+    one slot per value, row by row in ``_SAMPLE_KEYS`` order.  A slot takes a
+    finite float (str() writes the digits json.dumps writes) or a JSON text
+    such as "NaN", so one call formats every number of the array in C."""
+    if not rows:
+        return "[]"
+    pad = "\n" + "  " * 3
+    members = ",".join(f"{pad}    {json.dumps(key)}: %s" for key in _SAMPLE_KEYS)
+    item = f"{pad}  {{{members}{pad}  }}"
+    return "[" + ",".join([item] * rows) + pad + "]"
+
+
 def profiles_to_json(profiles: Sequence[ProfileData]) -> str:
     """The CLI's JSON document, byte for byte
     ``json.dumps({"profiles": [p.to_json_obj() for p in profiles]}, indent=2) + "\\n"``.
 
     json.dumps lays out the document around a marker per samples array, and
-    each array is filled in one ``%`` call on a ``json_records`` template.
+    each array is filled in one ``%`` call on its ``_samples_template``.
     """
     require_memory(sum(len(p.x) for p in profiles), _JSON_BYTES_PER_POINT)
     skeleton = json.dumps(
@@ -368,7 +382,7 @@ def profiles_to_json(profiles: Sequence[ProfileData]) -> str:
         samples = table.ravel().tolist()
         if not np.isfinite(table).all():  # str() writes nan/inf, json.dumps NaN/Infinity
             samples = [json.dumps(v) for v in samples]
-        parts += [json_records(_SAMPLE_KEYS, len(table), 3) % tuple(samples), tail]
+        parts += [_samples_template(len(table)) % tuple(samples), tail]
     return "".join(parts) + "\n"
 
 
@@ -386,7 +400,8 @@ def build_profile(
     points: int = 400,
     evolved: bool = False,
 ) -> ProfileData:
-    """Evaluate one (n, tau) profile with full metadata for the CLI."""
+    """Evaluate one (n, tau) profile with full metadata for the CLI, which
+    always builds the evolved state; ``evolved`` False gives the static one."""
     if points < 9:
         raise DomainError("need at least 9 grid points")
     params = CoherentParams.for_case(

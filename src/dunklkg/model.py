@@ -23,7 +23,6 @@ from .errors import DegenerateError, DomainError
 __all__ = [
     "CurvatureCase",
     "bargmann_index",
-    "casimir_eigenvalue",
     "half_odd_alpha",
     "parse_alpha",
     "parse_complex",
@@ -107,13 +106,9 @@ def sigma_index(alpha: AlphaLike) -> complex:
 
 
 def radial_coupling(alpha: AlphaLike) -> float:
-    """The constant alpha/2 + 3/16 multiplying 1/r in the reduced operator."""
+    """The constant alpha/2 + 3/16 multiplying 1/r in the reduced operator;
+    minus the quadratic Casimir eigenvalue k(k-1)."""
     return float(alpha) / 2.0 + 3.0 / 16.0
-
-
-def casimir_eigenvalue(alpha: AlphaLike) -> complex:
-    """Quadratic Casimir eigenvalue k(k-1) = -(alpha/2 + 3/16)."""
-    return complex(-radial_coupling(alpha))
 
 
 _SCALE_PREFACTOR = {

@@ -153,7 +153,6 @@ def self_consistency_residual(
     n: int,
     alpha: AlphaLike,
     R: float,
-    branch: Optional[str] = None,
 ) -> float:
     """Residual of the su(1,1) eigenvalue relation with the closed-form shift substituted back.
 
@@ -163,17 +162,12 @@ def self_consistency_residual(
     both determinations of the root are tried and the smaller residual
     returned; measured behaviour at R = 1 is that the relation is exact (to
     round-off) for every spectral branch once the root sign is resolved.
-    With ``branch`` None the minimum over the available branches is returned.
+    The minimum over the available branches is returned.
     """
-    shifts = dict(zip(BRANCHES, energy_shifts(case, n, alpha, R)))
-    if branch is not None:
-        if branch not in shifts:
-            raise DomainError(f"branch {branch!r} not available for case {case.value}")
-        shifts = {branch: shifts[branch]}
     k = bargmann_index(alpha)
     return min(
         float(min(abs(k + n - rhs), abs(k + n + rhs)))
-        for rhs in (relation_rhs(case, u, R) for u in shifts.values())
+        for rhs in (relation_rhs(case, u, R) for u in energy_shifts(case, n, alpha, R))
     )
 
 
@@ -226,12 +220,7 @@ def spectrum_table(
 
 
 # --- text writers ------------------------------------------------------------
-# The one CSV number rule, and the one template builder: ``json_records``
-# writes the layout of json.dumps(..., indent=2) for an array of records as
-# a ``%`` template with one %s slot per value.  A slot takes a finite float
-# or an int (str() writes the digits json.dumps writes) or a JSON text such
-# as "null", and filling a whole array in one call formats every number
-# in C.
+# The one CSV number rule; JSON is what json.dumps(..., indent=2) writes.
 
 CSV_FLOAT = "%.9g"  # every CSV number: 9 significant digits
 
@@ -254,18 +243,6 @@ def csv_text(keys: Sequence[str], rows: Iterable[Iterable], meta: Optional[dict]
         lines.insert(0, "# " + " ".join(f"{k}={csv_field(v)}" for k, v in meta.items()))
     lines += [",".join(map(csv_field, row)) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def json_records(keys: Sequence[str], rows: int, depth: int = 0) -> str:
-    """Template of an array of ``rows`` objects that share ``keys``, laid out as
-    json.dumps(..., indent=2) lays it out ``depth`` levels deep; its slots
-    take the member values row by row."""
-    if not rows:
-        return "[]"
-    pad = "\n" + "  " * depth
-    members = ",".join(f"{pad}    {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
-    item = f"{pad}  {{{members}{pad}  }}"
-    return "[" + ",".join([item] * rows) + pad + "]"
 
 
 _TABLE_KEYS = ("case", "alpha", "n", "re_e_plus", "im_e_plus", "re_e_minus", "im_e_minus")
@@ -292,14 +269,7 @@ def table_to_csv(table: SpectrumTable) -> str:
 
 
 def table_to_json(table: SpectrumTable) -> str:
-    """JSON array, one object per row; floats keep full round-trip precision.
-
-    Byte for byte ``json.dumps(rows, indent=2) + "\\n"``: one json.dumps
-    call renders every value (None as null, a non-finite energy as NaN or
-    Infinity) and one ``json_records`` template lays out the array.
-    """
-    flat = [value for row in _table_values(table) for value in row]
-    # the only strings are case names and 'p/q' fractions, so no value's
-    # JSON text contains the list separator ', '
-    tokens = json.dumps(flat)[1:-1].split(", ") if flat else []
-    return (json_records(_TABLE_KEYS, len(table.rows)) + "\n") % tuple(tokens)
+    """JSON array, one object per row; floats keep full round-trip precision,
+    None is null and a non-finite energy NaN or Infinity."""
+    records = [dict(zip(_TABLE_KEYS, row)) for row in _table_values(table)]
+    return json.dumps(records, indent=2) + "\n"

@@ -58,7 +58,6 @@ from .coherent import (
     density_profile,
 )
 from .eigenfunctions import (
-    eigenfunction_r,
     eigenfunction_rows,
     eigenfunction_x,
     row_residuals,
@@ -73,14 +72,13 @@ from .gridops import (
 from .model import (
     CurvatureCase,
     bargmann_index,
-    casimir_eigenvalue,
     radial_coupling,
     sigma_index,
 )
 from .refdata import compare_reference
 from .spectrum import energy_shifts, relation_rhs, self_consistency_residual
 
-__all__ = ["grid_sweep", "run_verification", "report_to_json", "z3_eigenvalue_residual"]
+__all__ = ["grid_sweep", "run_verification", "report_to_json"]
 
 SWEEP_ALPHAS = (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2))
 SWEEP_N = range(6)  # from 0 and contiguous: the grid sweeps enumerate one F_n stream
@@ -98,18 +96,6 @@ DIAGNOSTIC_H = 0.002
 # minimum spacings for the h -> h/2 convergence diagnostics (see module doc)
 ODE_CONV_H = 0.004
 Z3_CONV_H = 0.002
-
-
-def z3_eigenvalue_residual(
-    n: int,
-    alpha,
-    r_min: float = R_MIN,
-    r_max: float = R_MAX,
-    h: float = 1e-3,
-) -> float:
-    """sup |Z3 F_n - (k+n) F_n| / sup |F_n| on the standard positive grid."""
-    r = _checked_grid(r_min, r_max, h).points
-    return row_residuals(n, alpha, r, h, eigenfunction_r(n, alpha, r))[0]
 
 
 def _checked_grid(r_min: float, r_max: float, h: float) -> GridFunction:
@@ -150,7 +136,6 @@ def check_casimir_identity() -> Dict:
         alpha = Fraction(num, 2)
         k = bargmann_index(alpha)
         worst = max(worst, abs(k * (k - 1.0) + radial_coupling(alpha)))
-        worst = max(worst, abs(casimir_eigenvalue(alpha) - k * (k - 1.0)))
     return _check("casimir_identity", worst, 1e-13)
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dunklkg
-from dunklkg import CurvatureCase, build_profile, gridops
+from dunklkg import CurvatureCase, bargmann_index, build_profile, gridops
 from dunklkg.cli import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -725,6 +725,31 @@ def test_evolve_json_document_equals_json_dumps(runner):
     ]
     doc = {"profiles": [p.to_json_obj() for p in profiles]}
     assert res.stdout == json.dumps(doc, indent=2) + "\n"
+
+
+def test_density_is_the_evolved_state_at_its_tau(runner):
+    # density and evolve build the same profiles; evolve only requires --tau
+    for fmt in ("csv", "json"):
+        args = ["--alpha", "1/2", "--xi", "0.5+0.2i", "--n", "0,1", "--tau", "1,2.5",
+                "--points", "40", "--format", fmt]
+        density, evolve = (invoke(runner, [command] + args) for command in ("density", "evolve"))
+        assert density.exit_code == evolve.exit_code == 0
+        assert density.stdout == evolve.stdout
+    # at the default tau = 0 the as-printed convention carries the constant e^(-ik)
+    args = ["density", "--alpha", "1/2", "--xi", "0.5+0.2i", "--points", "40", "--format", "json"]
+    corrected, printed = (
+        json.loads(invoke(runner, args + ["--phase-convention", name]).stdout)["profiles"][0]
+        for name in ("corrected", "as-printed")
+    )
+    assert printed["phase_convention"] == "as-printed"
+    phase = np.exp(-1j * bargmann_index(Fraction(1, 2)))
+    values = [
+        np.array([complex(s["re"], s["im"]) for s in profile["samples"]])
+        for profile in (corrected, printed)
+    ]
+    np.testing.assert_allclose(values[1], phase * values[0], rtol=1e-13)
+    np.testing.assert_allclose([s["density"] for s in printed["samples"]],
+                               [s["density"] for s in corrected["samples"]], rtol=1e-13)
 
 
 # The README-size calls; the golden files were written by independent

@@ -184,6 +184,24 @@ def test_tau_zero_is_exact_identity():
     np.testing.assert_array_equal(coherent_evolved(x, params), coherent_closed_form(x, params))
 
 
+@pytest.mark.parametrize("case, branch", N0_SCALES, ids=lambda v: getattr(v, "value", v))
+def test_static_profile_is_the_evolved_profile_at_tau_zero(case, branch):
+    # the CLI builds every density through the evolved state, so at tau = 0
+    # (corrected convention) it must give the static profile bit for bit
+    for alpha in (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2), Fraction(21, 2)):
+        for xi in XIS + [0j, -0.7 + 0.1j]:
+            for n in range(6):
+                for R in (1.0, 0.3):
+                    static, evolved = (
+                        build_profile(case, alpha, n, xi, R=R, branch=branch, points=60,
+                                      tau=0.0, evolved=flag)
+                        for flag in (False, True)
+                    )
+                    assert evolved.meta == static.meta
+                    for name in ("x", "values", "density"):
+                        assert getattr(evolved, name).tobytes() == getattr(static, name).tobytes()
+
+
 def test_tau_pi_flips_real_xi():
     alpha = Fraction(1, 2)
     base = params_for(alpha, xi=0.4 + 0.0j)

@@ -76,13 +76,6 @@ def test_gamma_reflection_off_axis():
     assert worst < 1e-10
 
 
-def test_log_gamma_matches_gamma():
-    rng = np.random.default_rng(45)
-    for _ in range(100):
-        z = complex(rng.uniform(0.5, 30.0), rng.uniform(-20.0, 20.0))
-        assert cmath.exp(log_gamma(z)) == pytest.approx(gamma(z), rel=1e-12)
-
-
 def test_log_gamma_is_analytic_continuation():
     # continuous in Im(z), agreeing with mpmath.loggamma (which never wraps)
     for y in np.linspace(-30.0, 30.0, 41):

@@ -21,8 +21,8 @@ from dunklkg import (
     second_derivative_4th,
     symmetric_grid,
     z3_apply,
-    z3_eigenvalue_residual,
 )
+from dunklkg.eigenfunctions import row_residuals
 
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
 
@@ -190,6 +190,12 @@ def test_z3_on_constant():
     c = float(alpha) / 2 + 3.0 / 16.0
     expected = 1j * (c / gf.points + 0.25 * gf.points)
     assert np.max(np.abs(z3_apply(gf, alpha).values - expected)) < 1e-9
+
+
+def z3_eigenvalue_residual(n, alpha, h):
+    """sup |Z3 F_n - (k+n) F_n| / sup |F_n| on the standard grid [0.1, 20]."""
+    r = positive_grid(0.1, 20.0, h)
+    return row_residuals(n, alpha, r, h, eigenfunction_r(n, alpha, r))[0]
 
 
 def test_z3_eigenvalue_relation():

@@ -12,7 +12,6 @@ from dunklkg import (
     DomainError,
     bargmann_index,
     build_profile,
-    casimir_eigenvalue,
     energy_pair,
     energy_shifts,
     parse_alpha,
@@ -106,7 +105,10 @@ def test_bargmann_examples(alpha, expected):
     "alpha,expected", [(Fraction(1, 2), -0.4375), (Fraction(3, 2), -0.9375), (Fraction(7, 2), -1.9375)]
 )
 def test_casimir_examples(alpha, expected):
-    value = casimir_eigenvalue(alpha)
+    # the quadratic Casimir eigenvalue k(k-1) is minus the radial coupling
+    assert -radial_coupling(alpha) == expected
+    k = bargmann_index(alpha)
+    value = k * (k - 1)
     assert value.real == pytest.approx(expected, abs=1e-15)
     assert value.imag == 0.0
 

@@ -11,13 +11,16 @@ from dunklkg import (
     DegenerateError,
     EnergyPair,
     SpectrumTable,
+    bargmann_index,
     compare_reference,
     energy_pair,
+    energy_shifts,
     self_consistency_residual,
     spectrum_table,
     table_to_csv,
     table_to_json,
 )
+from dunklkg.spectrum import relation_rhs
 
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
 
@@ -135,10 +138,12 @@ def test_self_consistency_all_cases():
 def test_self_consistency_per_branch():
     # measured behaviour: the relation holds for BOTH spectral branches once
     # the scale-root sign is resolved (the squaring step loses the sign)
+    alpha, n = Fraction(3, 2), 2
+    k = bargmann_index(alpha)
     for case in (CurvatureCase.RATIONAL, CurvatureCase.SINC):
-        for branch in ("plus", "minus"):
-            res = self_consistency_residual(case, 2, Fraction(3, 2), 1.0, branch=branch)
-            assert res < 1e-10
+        for shift in energy_shifts(case, n, alpha, 1.0):
+            rhs = relation_rhs(case, shift, 1.0)
+            assert min(abs(k + n - rhs), abs(k + n + rhs)) < 1e-10
 
 
 def test_self_consistency_degenerate():

@@ -45,16 +45,24 @@ from dunklkg import (
     bargmann_index,
     coherent_series,
     complexfn,
+    eigenfunction_r,
     log_gamma,
     normalization,
     ode_residual,
+    positive_grid,
     sigma_index,
     suggested_series_terms,
     verify,
-    z3_eigenvalue_residual,
 )
-from dunklkg.eigenfunctions import radial_envelope
+from dunklkg.eigenfunctions import radial_envelope, row_residuals
 from dunklkg.errors import DunklKGError
+
+
+def z3_eigenvalue_residual(n, alpha, r_min, r_max, h):
+    """sup |Z3 F_n - (k+n) F_n| / sup |F_n| on the positive grid, the Z3
+    counterpart of ``ode_residual``."""
+    r = positive_grid(r_min, r_max, h)
+    return row_residuals(n, alpha, r, h, eigenfunction_r(n, alpha, r))[0]
 
 
 def sweep_max(residual, h):
