@@ -268,7 +268,17 @@ def _require_window(x_min: float, x_max: float) -> None:
 
 
 def _normalized_density(x_arr: np.ndarray, params: CoherentParams, evolved: bool):
-    """Amplitudes, normalized density, and the raw trapezoidal integral."""
+    """Amplitudes, normalized density, and the raw trapezoidal integral.
+
+    The static state is the evolved one at tau = 0 in the corrected
+    convention, so ``evolved`` False with any other tau or convention is
+    refused rather than labelled with a state it did not build.
+    """
+    if not evolved and (params.tau != 0 or params.phase_convention is PhaseConvention.AS_PRINTED):
+        raise DomainError(
+            f"the static state has tau = 0 in the corrected convention; pass evolved=True "
+            f"for tau = {params.tau} and phase convention {params.phase_convention.value!r}"
+        )
     if x_arr.size < 2:
         raise DomainError(f"density grid needs at least 2 points, got {x_arr.size}")
     _require_window(float(x_arr[0]), float(x_arr[-1]))
@@ -285,7 +295,9 @@ def density_profile(x_grid, params: CoherentParams, evolved: bool = False) -> Gr
     """Normalized |R|^2 on the grid; integrates to 1 by trapezoidal rule.
 
     Raises NormalizationError when the raw integral is non-finite or below
-    sys.float_info.min, where it is subnormal and has lost precision.
+    sys.float_info.min, where it is subnormal and has lost precision, and
+    DomainError for the static state (``evolved`` False) at tau != 0 or in
+    the as-printed convention.
     """
     x_arr = np.asarray(x_grid, dtype=float)
     _, dens, _ = _normalized_density(x_arr, params, evolved)
@@ -401,7 +413,8 @@ def build_profile(
     evolved: bool = False,
 ) -> ProfileData:
     """Evaluate one (n, tau) profile with full metadata for the CLI, which
-    always builds the evolved state; ``evolved`` False gives the static one."""
+    always builds the evolved state; ``evolved`` False gives the static one,
+    which exists only at tau = 0 in the corrected convention (else DomainError)."""
     if points < 9:
         raise DomainError("need at least 9 grid points")
     params = CoherentParams.for_case(

@@ -4,13 +4,24 @@ A name counts as reached when some module of the package other than
 ``__init__`` loads it outside its own definition (a recursive call does not
 count).  The few exports without such a caller are listed with the reason
 they stay.
+
+Start-up, each in a new interpreter: the exports load their module on first
+access, so ``import dunklkg`` loads no numpy; ``import dunklkg.cli`` loads
+every module the benchmark tracer reads; and the CLI, when it is the first
+to load numpy, pins OpenBLAS to one thread unless the environment already
+sets a count.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import dunklkg
 
@@ -24,13 +35,7 @@ ALLOWED_UNREACHED = {
 
 
 def _exported():
-    tree = ast.parse((PKG / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    return set(dunklkg._EXPORTS)
 
 
 def _loaded(node, skip=None):
@@ -74,3 +79,102 @@ def test_readme_library_example_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     profile = namespace["profile"]
     assert abs(np.trapezoid(profile.values, profile.points) - 1.0) < 1e-12
+
+
+# --- start-up ---------------------------------------------------------------
+
+# every name the package exported when its __init__ imported each module
+EXPORTED_BY_MODULE = {
+    "coherent": ["CoherentParams", "PhaseConvention", "ProfileData", "build_profile",
+                 "coherent_closed_form", "coherent_evolved", "coherent_series",
+                 "density_profile", "profiles_to_json", "suggested_series_terms"],
+    "complexfn": ["gamma", "laguerre_rows", "laguerre_sequence", "log_gamma", "principal_log",
+                  "principal_pow", "principal_sqrt"],
+    "eigenfunctions": ["eigenfunction_r", "eigenfunction_rows", "eigenfunction_x",
+                       "normalization", "ode_residual"],
+    "errors": ["DegenerateError", "DomainError", "DunklKGError", "GridError",
+               "NormalizationError", "PoleError"],
+    "gridops": ["GridFunction", "derivative_4th", "dunkl_apply", "ladder_apply",
+                "positive_grid", "second_derivative_4th", "symmetric_grid", "z3_apply"],
+    "model": ["CurvatureCase", "bargmann_index", "parse_alpha", "parse_complex",
+              "radial_coupling", "scale_factor", "sigma_index"],
+    "refdata": ["compare_reference"],
+    "spectrum": ["EnergyPair", "SpectrumTable", "energy_pair", "energy_shifts",
+                 "self_consistency_residual", "spectrum_table", "table_to_csv", "table_to_json"],
+    "verify": ["run_verification"],
+}
+# the modules bench/tracer.py takes from sys.modules after importing dunklkg.cli
+TRACED_MODULES = ("complexfn", "eigenfunctions", "gridops", "coherent", "spectrum", "refdata",
+                  "verify")
+
+
+def _fresh(code, *args, **env_vars):
+    """stdout of ``code`` as JSON, run in a new interpreter that imports this
+    dunklkg, with OPENBLAS_NUM_THREADS unset unless ``env_vars`` sets it."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PKG.parent), env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                           text=True, check=True)
+    return json.loads(child.stdout)
+
+
+def test_import_dunklkg_loads_no_numpy():
+    assert "numpy" not in _fresh("import json, sys, dunklkg; print(json.dumps(list(sys.modules)))")
+
+
+def test_cli_import_loads_every_module_the_tracer_reads():
+    loaded = _fresh("import json, sys, dunklkg.cli; print(json.dumps(sorted(sys.modules)))")
+    assert {f"dunklkg.{name}" for name in TRACED_MODULES} <= set(loaded)
+
+
+_RESOLVE = """
+import importlib, json, sys
+import dunklkg
+listed, wrong = set(dir(dunklkg)), []
+for module, names in json.loads(sys.argv[1]).items():
+    for name in names:
+        exec(f"from dunklkg import {name} as value")
+        if name not in listed or value is not getattr(
+                importlib.import_module(f"dunklkg.{module}"), name):
+            wrong.append(name)
+print(json.dumps(wrong))
+"""
+
+
+def test_every_former_export_resolves_lazily():
+    assert _fresh(_RESOLVE, json.dumps(EXPORTED_BY_MODULE)) == []
+    assert sorted(dunklkg.__all__) == sorted(sum(EXPORTED_BY_MODULE.values(), []))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'dunklkg' has no attribute 'no_such_name'"):
+        dunklkg.no_such_name
+    with pytest.raises(ImportError):
+        from dunklkg import no_such_name
+
+
+_CLI_IMPORT = """
+import json, os, sys
+{first}
+before = dict(os.environ)
+from dunklkg.cli import main
+tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+changed = sorted(k for k in set(before) | set(os.environ) if before.get(k) != os.environ.get(k))
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks, changed]))
+"""
+
+
+def test_cli_pins_openblas_to_one_thread():
+    threads, tasks, changed = _fresh(_CLI_IMPORT.format(first=""))
+    assert threads == "1" and changed == ["OPENBLAS_NUM_THREADS"]
+    if tasks is not None:  # /proc/self/task lists the threads on Linux only
+        assert tasks == 1
+
+
+def test_cli_keeps_a_preset_thread_count():
+    assert _fresh(_CLI_IMPORT.format(first=""), OPENBLAS_NUM_THREADS="2")[::2] == ["2", []]
+
+
+def test_cli_leaves_the_environment_of_a_host_that_loaded_numpy():
+    assert _fresh(_CLI_IMPORT.format(first="import numpy"))[::2] == [None, []]

@@ -286,6 +286,17 @@ def test_build_profile_metadata_and_warning():
     assert prof2.meta["branch"] == "minus"
 
 
+@pytest.mark.parametrize("tau, convention", [(1.0, PhaseConvention.CORRECTED),
+                                               (0.0, PhaseConvention.AS_PRINTED)])
+def test_static_state_is_refused_where_it_is_not_the_evolved_one(tau, convention):
+    # the static profile would be the tau = 0, corrected one under another label
+    with pytest.raises(DomainError, match="evolved=True"):
+        build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.3, tau=tau,
+                      phase_convention=convention, points=40)
+    with pytest.raises(DomainError, match="evolved=True"):
+        density_profile(X_GRID, params_for(Fraction(1, 2), n=1, tau=tau, convention=convention))
+
+
 def test_build_profile_refuses_more_than_physical_memory(monkeypatch):
     need = 400 * _PROFILE_BYTES_PER_POINT
     monkeypatch.setattr(gridops, "_physical_memory", lambda: need)
@@ -457,6 +468,7 @@ def test_build_profile_any_float_input(case_branch, n, alpha, xi, R, tau, x_min,
     if isinstance(first, tuple):
         assert first == second
         return
+    assert evolved or tau == 0, "a static profile exists at tau = 0 only"
     assert repr(first.meta) == repr(second.meta)
     for name in ("x", "values", "density"):
         a, b = getattr(first, name), getattr(second, name)
