@@ -17,7 +17,7 @@ import importlib
 
 _EXPORTS = {
     **dict.fromkeys((
-        "CoherentParams", "PhaseConvention", "ProfileData", "build_profile",
+        "CoherentParams", "ProfileData", "build_profile",
         "coherent_closed_form", "coherent_evolved", "coherent_series", "density_profile",
         "profiles_to_json", "suggested_series_terms",
     ), "coherent"),
@@ -38,8 +38,8 @@ _EXPORTS = {
         "second_derivative_4th", "symmetric_grid", "z3_apply",
     ), "gridops"),
     **dict.fromkeys((
-        "CurvatureCase", "bargmann_index", "parse_alpha", "parse_complex", "radial_coupling",
-        "scale_factor", "sigma_index",
+        "CurvatureCase", "PhaseConvention", "bargmann_index", "parse_alpha", "parse_complex",
+        "radial_coupling", "scale_factor", "sigma_index",
     ), "model"),
     "compare_reference": "refdata",
     **dict.fromkeys((

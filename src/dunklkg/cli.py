@@ -18,6 +18,7 @@ letter case.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import os
 import stat
@@ -31,17 +32,38 @@ from typing import List
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# every package module at module level: the benchmark tracer finds them in
-# sys.modules after importing this one
-from .coherent import PhaseConvention, build_profile, profiles_to_json
+import click
+
+# The scalar modules load eagerly: none of them loads numpy, so `spectrum`,
+# `table` and --help run without it (numpy is most of a cold call's import
+# time).  The array modules, and numpy with them, load lazily, on the first
+# attribute access by density, evolve or verify.
 from .errors import DunklKGError, NormalizationError
-from .model import CurvatureCase, parse_alpha, parse_complex
+from .model import CurvatureCase, PhaseConvention, parse_alpha, parse_complex
 from .refdata import TABLES, compare_reference
 from .spectrum import csv_text, spectrum_table, table_to_csv, table_to_json
-from .verify import report_to_json, run_verification
 
-# click after numpy: imported first, it raised the peak RSS of a CLI call by about 0.35 MB
-import click
+
+def _lazy(name):
+    """The package module ``name``, executed on its first attribute access.
+
+    Lazy, not imported inside the commands, because the benchmark tracer
+    reads the modules it wraps from sys.modules right after importing this
+    one; once it imports them itself, imports in the commands can replace
+    this.  A module already loaded is kept, and a new one is set on the
+    package as an import would, so ``dunklkg.<name>`` is one object.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+_, _, coherent, verify = map(_lazy, ("gridops", "eigenfunctions", "coherent", "verify"))
 
 
 def _parse_n_list(spec: str) -> List[int]:
@@ -280,7 +302,7 @@ def _profile_command(tau_required: bool):
         alpha, xi = parse_alpha(alpha), parse_complex(xi)
         n_list, tau_list = _parse_n_list(n), _parse_list("tau", tau, float)
         profiles = [
-            build_profile(
+            coherent.build_profile(
                 case, alpha, n_i, xi, R=R, branch=branch, tau=tau_i,
                 phase_convention=PhaseConvention(phase_convention),
                 x_min=x_min, x_max=x_max, points=points, evolved=True,
@@ -292,7 +314,7 @@ def _profile_command(tau_required: bool):
             if profile.meta.get("warning"):
                 click.echo(f"warning: {profile.meta['warning']}", err=True)
         if format == "json":
-            text = profiles_to_json(profiles)
+            text = coherent.profiles_to_json(profiles)
         else:
             text = "\n".join(p.to_csv() for p in profiles)
         _emit(text, output)
@@ -320,8 +342,8 @@ def cmd_verify(suite, grid_h, output):
     density-peak trends, the strict-principal residual) are included in the
     JSON report but never affect the exit code.
     """
-    report = run_verification(grid_h=grid_h, suite=suite)
-    _emit(report_to_json(report), output)
+    report = verify.run_verification(grid_h=grid_h, suite=suite)
+    _emit(verify.report_to_json(report), output)
     if not report["passed"]:
         raise click.exceptions.Exit(1)
 

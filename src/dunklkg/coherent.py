@@ -38,7 +38,6 @@ normalization is claimed.
 from __future__ import annotations
 
 import cmath
-import enum
 import json
 import math
 import sys
@@ -55,6 +54,7 @@ from .gridops import POSITIVE, GridFunction, require_memory
 from .model import (
     AlphaLike,
     CurvatureCase,
+    PhaseConvention,
     bargmann_index,
     half_odd_alpha,
     scale_factor,
@@ -87,11 +87,6 @@ _PROFILE_BYTES_PER_POINT = 96
 # peak bytes per sample point of profiles_to_json (674 measured with
 # tracemalloc for one 200k-point profile, 565 for four of 50k)
 _JSON_BYTES_PER_POINT = 704
-
-
-class PhaseConvention(enum.Enum):
-    CORRECTED = "corrected"    # prefactor e^(-i k tau)
-    AS_PRINTED = "as-printed"  # constant prefactor e^(-i k)
 
 
 @dataclass(frozen=True)

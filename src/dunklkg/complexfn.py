@@ -18,6 +18,10 @@ Measured accuracy against mpmath, worst of 3000 random draws each:
 relative error 5.3e-14 on the strip 0.5 <= Re(z) <= 20, |Im(z)| <= 50,
 and 7.2e-15 in the reflection region -5 <= Re(z) < 0.5,
 0.1 <= |Im(z)| <= 10.
+
+Only the Laguerre functions need numpy, and they import it when called:
+the scalar functions, and with them ``spectrum``, ``refdata`` and the
+``spectrum`` and ``table`` commands, run without loading it.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import cmath
 import functools
 import math
 import operator
-
-import numpy as np
 
 from .errors import DomainError, PoleError
 
@@ -151,6 +153,8 @@ def laguerre_rows(n_max: int, a: complex, z, out=None):
     other array allocated; a yielded row is then overwritten when the row
     two after it is asked for.  Each value has the same bits as without.
     """
+    import numpy as np
+
     if n_max < 0:
         raise DomainError("laguerre order must be non-negative")
     z = np.asarray(z, dtype=complex)
@@ -163,6 +167,8 @@ def _laguerre_recurrence(n_max: int, a: complex, z, out):
     # ufuncs with out=); without ``out`` they are the operators, which give
     # new arrays, or numpy scalars for a scalar z.  Either way each
     # operation and its operand order are the same.
+    import numpy as np
+
     if out is None:
         sub, mul = (operator.sub,) * 3, (operator.mul,) * 3
         prev = np.ones(z.shape, dtype=complex)
@@ -197,6 +203,8 @@ def laguerre_sequence(n_max: int, a: complex, z):
     cross-validates the result).  The table is for callers that index
     rows out of order, such as verify's recurrence check.
     """
+    import numpy as np
+
     rows = laguerre_rows(n_max, a, z)
     out = np.empty((n_max + 1,) + np.shape(z), dtype=complex)
     for n, row in enumerate(rows):

@@ -22,6 +22,7 @@ from .errors import DegenerateError, DomainError
 
 __all__ = [
     "CurvatureCase",
+    "PhaseConvention",
     "bargmann_index",
     "half_odd_alpha",
     "parse_alpha",
@@ -50,6 +51,13 @@ class CurvatureCase(enum.Enum):
                 f"unknown curvature case {name!r}; expected one of "
                 f"{[c.value for c in cls]}"
             ) from None
+
+
+class PhaseConvention(enum.Enum):
+    """The time-evolution prefactor of the coherent state."""
+
+    CORRECTED = "corrected"    # prefactor e^(-i k tau)
+    AS_PRINTED = "as-printed"  # constant prefactor e^(-i k)
 
 
 def half_odd_alpha(alpha: AlphaLike) -> Fraction:

@@ -6,10 +6,12 @@ count).  The few exports without such a caller are listed with the reason
 they stay.
 
 Start-up, each in a new interpreter: the exports load their module on first
-access, so ``import dunklkg`` loads no numpy; ``import dunklkg.cli`` loads
-every module the benchmark tracer reads; and the CLI, when it is the first
-to load numpy, pins OpenBLAS to one thread unless the environment already
-sets a count.
+access, so ``import dunklkg`` loads no numpy; ``import dunklkg.cli`` puts
+every module the benchmark tracer reads in sys.modules, the array modules
+as lazy ones, one object per module whichever is imported first; only the
+commands that compute on arrays load numpy; and the CLI, when it is the
+first to load numpy, pins OpenBLAS to one thread unless the environment
+already sets a count.
 """
 
 import ast
@@ -128,6 +130,39 @@ def test_cli_import_loads_every_module_the_tracer_reads():
     assert {f"dunklkg.{name}" for name in TRACED_MODULES} <= set(loaded)
 
 
+# the modules dunklkg.cli registers lazily
+LAZY_MODULES = ("gridops", "eigenfunctions", "coherent", "verify")
+
+_IMPORTS = """
+import json, sys
+seen = {}
+for statement in sys.argv[2:]:
+    exec(statement)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dunklkg"):
+            seen.setdefault(name, module)  # the first object under each name
+import dunklkg, dunklkg.cli
+same = [getattr(dunklkg, name) is sys.modules[f"dunklkg.{name}"]
+        for name in json.loads(sys.argv[1])]
+same += [dunklkg.cli.coherent is dunklkg.coherent, dunklkg.cli.verify is dunklkg.verify,
+         dunklkg.coherent.GridFunction is dunklkg.gridops.GridFunction,
+         all(sys.modules[name] is module for name, module in seen.items())]
+print(json.dumps(same))
+"""
+
+
+@pytest.mark.parametrize("imports", [
+    ["import dunklkg.cli"],
+    ["import dunklkg.gridops", "import dunklkg.cli"],
+    ["import dunklkg.coherent", "import dunklkg.cli"],
+    ["import dunklkg.cli", "import dunklkg.gridops"],
+    ["import dunklkg.cli", "from dunklkg.coherent import build_profile"],
+])
+def test_each_lazy_module_is_one_object_reached_from_the_package(imports):
+    # a second module object would let a test patch a copy the CLI never calls
+    assert _fresh(_IMPORTS, json.dumps(LAZY_MODULES), *imports) == [True] * 8
+
+
 _RESOLVE = """
 import importlib, json, sys
 import dunklkg
@@ -158,16 +193,17 @@ _CLI_IMPORT = """
 import json, os, sys
 {first}
 before = dict(os.environ)
-from dunklkg.cli import main
+from dunklkg import cli
+cli.coherent.build_profile  # numpy loads on the CLI's own path, as in density
 tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
 changed = sorted(k for k in set(before) | set(os.environ) if before.get(k) != os.environ.get(k))
-print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks, changed]))
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks, changed, "numpy" in sys.modules]))
 """
 
 
 def test_cli_pins_openblas_to_one_thread():
-    threads, tasks, changed = _fresh(_CLI_IMPORT.format(first=""))
-    assert threads == "1" and changed == ["OPENBLAS_NUM_THREADS"]
+    threads, tasks, changed, numpy_loaded = _fresh(_CLI_IMPORT.format(first=""))
+    assert threads == "1" and changed == ["OPENBLAS_NUM_THREADS"] and numpy_loaded
     if tasks is not None:  # /proc/self/task lists the threads on Linux only
         assert tasks == 1
 
@@ -178,3 +214,29 @@ def test_cli_keeps_a_preset_thread_count():
 
 def test_cli_leaves_the_environment_of_a_host_that_loaded_numpy():
     assert _fresh(_CLI_IMPORT.format(first="import numpy"))[::2] == [None, []]
+
+
+_CLI_RUN = """
+import contextlib, io, json, os, sys
+from dunklkg.cli import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:], prog_name="dunklkg")
+    except SystemExit as exc:
+        code = exc.code
+tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+print(json.dumps([code, "numpy" in sys.modules, tasks]))
+"""
+
+
+@pytest.mark.parametrize("args, loads_numpy", [
+    ("spectrum --alpha 1/2", False),
+    ("table --reproduce table1", False),
+    ("--help", False),
+    ("density --alpha 1/2 --xi 0.3 --points 20", True),
+])
+def test_only_the_array_commands_load_numpy(args, loads_numpy):
+    code, numpy_loaded, tasks = _fresh(_CLI_RUN, *args.split())
+    assert code == 0 and numpy_loaded == loads_numpy
+    if tasks is not None:  # one thread, with numpy loaded or without
+        assert tasks == 1
