@@ -23,7 +23,7 @@ import json
 import os
 import stat
 import sys
-from typing import List
+from typing import Iterable, List
 
 # One BLAS thread when the CLI is the first to load numpy: no call here
 # reaches BLAS with more than 6 elements, and OpenBLAS would otherwise start
@@ -150,7 +150,7 @@ def _opens_output(command):
     An unwritable path then fails at once, not after the work.  The file is
     opened for appending, so a run that fails leaves an existing file's
     bytes as they were, and a file it had to create is removed again;
-    ``_emit`` replaces the contents on success.
+    ``_emit`` replaces the contents once the results are computed.
     """
 
     @functools.wraps(command)
@@ -168,14 +168,22 @@ def _opens_output(command):
     return opened
 
 
-def _emit(text: str, output) -> None:
-    """Write to stdout, or replace the contents of the opened -o file."""
+def _emit(blocks: Iterable[str], output) -> None:
+    """Write the text blocks, each as it comes, to stdout or in place of the
+    contents of the opened -o file.
+
+    Every command calls this once all its results are computed, so a run
+    that fails writes nothing; the profile writers format each block only
+    when it is asked for, so the document is never whole in memory.
+    """
     if output is None:
-        sys.stdout.write(text)
-        return
-    if stat.S_ISREG(os.fstat(output.fileno()).st_mode):  # not /dev/null, a pipe, ...
-        output.truncate(0)
-    output.write(text)
+        write = sys.stdout.write
+    else:
+        if stat.S_ISREG(os.fstat(output.fileno()).st_mode):  # not /dev/null, a pipe, ...
+            output.truncate(0)
+        write = output.write
+    for block in blocks:
+        write(block)
 
 
 def _exit_codes(command):
@@ -238,7 +246,7 @@ def cmd_spectrum(case, alpha, n, R, m, format, output):
     """Emit the complex energy table for the chosen case."""
     alphas = _parse_list("alpha", ",".join(alpha), parse_alpha)
     table = spectrum_table(CurvatureCase(case), alphas, _parse_n_list(n), R, m)
-    _emit(table_to_csv(table) if format == "csv" else table_to_json(table), output)
+    _emit([table_to_csv(table) if format == "csv" else table_to_json(table)], output)
 
 
 @cli.command("table")
@@ -267,7 +275,7 @@ def cmd_table(table_id, tol, format, output):
     else:
         # every table has entries, all with the keys of the first
         text = csv_text(cmp.entries[0].keys(), (e.values() for e in cmp.entries), meta)
-    _emit(text, output)
+    _emit([text], output)
     if not cmp.passed:
         raise click.exceptions.Exit(1)
 
@@ -301,23 +309,16 @@ def _profile_command(tau_required: bool):
         case = CurvatureCase(case)
         alpha, xi = parse_alpha(alpha), parse_complex(xi)
         n_list, tau_list = _parse_n_list(n), _parse_list("tau", tau, float)
-        profiles = [
-            coherent.build_profile(
-                case, alpha, n_i, xi, R=R, branch=branch, tau=tau_i,
-                phase_convention=PhaseConvention(phase_convention),
-                x_min=x_min, x_max=x_max, points=points, evolved=True,
-            )
-            for n_i in n_list
-            for tau_i in tau_list
-        ]
+        profiles = coherent.build_profiles(
+            case, alpha, n_list, xi, tau_list, R=R, branch=branch,
+            phase_convention=PhaseConvention(phase_convention),
+            x_min=x_min, x_max=x_max, points=points, evolved=True,
+        )
         for profile in profiles:
             if profile.meta.get("warning"):
                 click.echo(f"warning: {profile.meta['warning']}", err=True)
-        if format == "json":
-            text = coherent.profiles_to_json(profiles)
-        else:
-            text = "\n".join(p.to_csv() for p in profiles)
-        _emit(text, output)
+        writer = coherent.profiles_to_json if format == "json" else coherent.profiles_to_csv
+        _emit(writer(profiles), output)
 
     return command
 
@@ -343,7 +344,7 @@ def cmd_verify(suite, grid_h, output):
     JSON report but never affect the exit code.
     """
     report = verify.run_verification(grid_h=grid_h, suite=suite)
-    _emit(verify.report_to_json(report), output)
+    _emit([verify.report_to_json(report)], output)
     if not report["passed"]:
         raise click.exceptions.Exit(1)
 

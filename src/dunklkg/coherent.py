@@ -43,7 +43,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,10 +67,12 @@ __all__ = [
     "PhaseConvention",
     "ProfileData",
     "build_profile",
+    "build_profiles",
     "coherent_closed_form",
     "coherent_evolved",
     "coherent_series",
     "density_profile",
+    "profiles_to_csv",
     "profiles_to_json",
     "suggested_series_terms",
 ]
@@ -82,11 +84,15 @@ _TAIL_TARGET = 1e-10
 _MAX_TERMS = 600
 _MIN_TERMS = 16
 
-# peak bytes per point of build_profile (89 measured with tracemalloc)
+# peak bytes per point of build_profile (81 measured with tracemalloc at
+# 100k and 400k points)
 _PROFILE_BYTES_PER_POINT = 96
-# peak bytes per sample point of profiles_to_json (674 measured with
-# tracemalloc for one 200k-point profile, 565 for four of 50k)
-_JSON_BYTES_PER_POINT = 704
+# peak bytes per point of build_profiles over all its profiles, which it
+# holds together: 32 held per point (x, complex values, density) plus the
+# 49 of work of the one being built, spread over the count (56.5 measured
+# with tracemalloc for two profiles, 44.3 for four); one profile is
+# bounded by build_profile's own guard
+_PROFILES_BYTES_PER_POINT = 64
 
 
 @dataclass(frozen=True)
@@ -311,8 +317,9 @@ def _format_complex(z: complex) -> str:
 
 _SAMPLE_KEYS = ("x", "re", "im", "density")
 _CSV_ROW = ",".join([CSV_FLOAT] * len(_SAMPLE_KEYS)) + "\n"
-# rows formatted per ``%`` call: bounds the Python floats alive at once
-_CSV_BLOCK_ROWS = 4096
+# rows formatted per ``%`` call by both writers: bounds the Python floats
+# and the text alive at once, whatever the number of points
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -321,9 +328,9 @@ class ProfileData:
 
     ``meta`` holds natively typed values; the CSV writer renders them
     (floats at 9 significant digits, booleans lowercase, None empty).
-    Both writers, ``to_csv`` and ``profiles_to_json``, format the samples
-    from whole arrays with ``%``: the JSON writer one call per profile,
-    the CSV writer one block of rows at a time.
+    Both writers, ``profiles_to_csv`` and ``profiles_to_json``, yield their
+    text in blocks of at most ``_BLOCK_ROWS`` rows, each formatted in one
+    ``%`` call, so their memory does not grow with the number of points.
     """
 
     x: np.ndarray
@@ -331,17 +338,15 @@ class ProfileData:
     density: np.ndarray      # normalized |R|^2
     meta: dict = field(default_factory=dict)
 
-    def _table(self) -> np.ndarray:
-        """(points, 4) samples in ``_SAMPLE_KEYS`` order."""
-        return np.column_stack([self.x, self.values.real, self.values.imag, self.density])
+    def _blocks(self) -> Iterator[np.ndarray]:
+        """(rows, 4) sample blocks in ``_SAMPLE_KEYS`` order, ``_BLOCK_ROWS`` rows
+        but the last."""
+        columns = (self.x, self.values.real, self.values.imag, self.density)
+        for start in range(0, len(self.x), _BLOCK_ROWS):
+            yield np.column_stack([column[start:start + _BLOCK_ROWS] for column in columns])
 
     def to_csv(self) -> str:
-        table = self._table()
-        parts = [csv_text(_SAMPLE_KEYS, (), self.meta)]
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start:start + _CSV_BLOCK_ROWS]
-            parts.append((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
-        return "".join(parts)
+        return "".join(profiles_to_csv([self]))
 
     def to_json_obj(self) -> dict:
         obj = dict(self.meta)
@@ -352,45 +357,52 @@ class ProfileData:
         return obj
 
 
+def profiles_to_csv(profiles: Sequence[ProfileData]) -> Iterator[str]:
+    """The CLI's CSV text, ``"\\n".join(p.to_csv() for p in profiles)``, in
+    blocks: each profile's header, then its rows one block at a time."""
+    for i, profile in enumerate(profiles):
+        if i:
+            yield "\n"
+        yield csv_text(_SAMPLE_KEYS, (), profile.meta)
+        for block in profile._blocks():
+            yield (_CSV_ROW * len(block)) % tuple(block.ravel().tolist())
+
+
 # stands where each profile's samples go in the json.dumps skeleton; no
 # meta value contains a NUL, so its JSON text occurs nowhere else
 _SAMPLES_MARKER = "\0samples\0"
 
 
-def _samples_template(rows: int) -> str:
-    """A samples array of ``rows`` records laid out as json.dumps(..., indent=2)
-    lays it out in the document (three levels deep), as a ``%`` template with
-    one slot per value, row by row in ``_SAMPLE_KEYS`` order.  A slot takes a
-    finite float (str() writes the digits json.dumps writes) or a JSON text
-    such as "NaN", so one call formats every number of the array in C."""
-    if not rows:
-        return "[]"
-    pad = "\n" + "  " * 3
-    members = ",".join(f"{pad}    {json.dumps(key)}: %s" for key in _SAMPLE_KEYS)
-    item = f"{pad}  {{{members}{pad}  }}"
-    return "[" + ",".join([item] * rows) + pad + "]"
-
-
-def profiles_to_json(profiles: Sequence[ProfileData]) -> str:
-    """The CLI's JSON document, byte for byte
+def profiles_to_json(profiles: Sequence[ProfileData]) -> Iterator[str]:
+    """The CLI's JSON document in blocks, byte for byte
     ``json.dumps({"profiles": [p.to_json_obj() for p in profiles]}, indent=2) + "\\n"``.
 
-    json.dumps lays out the document around a marker per samples array, and
-    each array is filled in one ``%`` call on its ``_samples_template``.
+    json.dumps lays out the document around a marker per samples array.
+    Each array is "[", its blocks of records, and its closing line.  A
+    record is laid out as json.dumps lays it out three levels deep, with one
+    ``%`` slot per value and a leading comma, and a block is one ``%`` call
+    on a slice of a template of ``_BLOCK_ROWS`` records (the array's first
+    without its comma).  A slot takes a finite float (str() writes the
+    digits json.dumps writes) or a JSON text such as "NaN".
     """
-    require_memory(sum(len(p.x) for p in profiles), _JSON_BYTES_PER_POINT)
     skeleton = json.dumps(
         {"profiles": [{**p.meta, "samples": _SAMPLES_MARKER} for p in profiles]}, indent=2
     )
     head, *tails = skeleton.split(json.dumps(_SAMPLES_MARKER))
-    parts = [head]
+    yield head
+    pad = "\n" + "  " * 3
+    members = ",".join(f"{pad}    {json.dumps(key)}: %s" for key in _SAMPLE_KEYS)
+    record = f",{pad}  {{{members}{pad}  }}"
+    template = record * _BLOCK_ROWS
     for profile, tail in zip(profiles, tails):
-        table = profile._table()
-        samples = table.ravel().tolist()
-        if not np.isfinite(table).all():  # str() writes nan/inf, json.dumps NaN/Infinity
-            samples = [json.dumps(v) for v in samples]
-        parts += [_samples_template(len(table)) % tuple(samples), tail]
-    return "".join(parts) + "\n"
+        yield "["
+        for i, block in enumerate(profile._blocks()):
+            samples = block.ravel().tolist()
+            if not np.isfinite(block).all():  # str() writes nan/inf, json.dumps NaN/Infinity
+                samples = [json.dumps(v) for v in samples]
+            yield template[i == 0:len(block) * len(record)] % tuple(samples)
+        yield (pad + "]" if len(profile.x) else "]") + tail
+    yield "\n"
 
 
 def build_profile(
@@ -435,3 +447,25 @@ def build_profile(
         "warning": warning,
     }
     return ProfileData(x=x_arr, values=values, density=dens, meta=meta)
+
+
+def build_profiles(
+    case: CurvatureCase,
+    alpha: AlphaLike,
+    ns: Sequence[int],
+    xi: complex,
+    taus: Sequence[float],
+    points: int = 400,
+    **options,
+) -> List[ProfileData]:
+    """``build_profile`` at every (n, tau), n-major, all held together (the CLI
+    writes none before the last is built, so a failure writes nothing).
+
+    Refuses, before the first is built, profiles that together would need
+    more than physical memory."""
+    require_memory(len(ns) * len(taus) * points, _PROFILES_BYTES_PER_POINT)
+    return [
+        build_profile(case, alpha, n, xi, tau=tau, points=points, **options)
+        for n in ns
+        for tau in taus
+    ]

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import dunklkg
 from dunklkg import CurvatureCase, bargmann_index, build_profile, gridops
 from dunklkg.cli import cli
+from dunklkg.coherent import _PROFILES_BYTES_PER_POINT
 
 GOLDEN = Path(__file__).parent / "golden"
 NOT_UTF8_CONFIG = Path(__file__).parent / "data" / "not_utf8.cfg"  # alpha=<byte 0xff>/2
@@ -601,21 +602,67 @@ def test_grid_larger_than_physical_memory_exits_1(runner, monkeypatch, args):
     assert res.stderr.count("\n") == 1
 
 
-def test_json_writer_larger_than_physical_memory_exits_1(runner, monkeypatch):
-    # 4 MiB holds the 10k-point profile (96 B/point) but not its JSON text
-    # (704 B/point); the CSV writer needs no such estimate
+def test_exports_need_no_more_memory_than_their_profiles(runner, monkeypatch):
+    # 4 MiB holds the 10k-point profile (96 B/point while it is built); the
+    # writers stream their text in blocks, so neither format needs more
     monkeypatch.setattr(gridops, "_physical_memory", lambda: 4 * 2**20)
     args = ["density", "--alpha", "1/2", "--xi", "0.3", "--points", "10000"]
-    res = runner.invoke(cli, args + ["--format", "json"])
-    assert res.exit_code == 1
-    assert res.stdout == ""
-    assert res.stderr == (
-        "error: Unable to allocate about 0.00656 GiB for a grid of 10000 points; "
-        "physical memory is 0.00391 GiB\n"
-    )
+    res = invoke(runner, args + ["--format", "json"])
+    assert res.exit_code == 0
+    assert len(json.loads(res.stdout)["profiles"][0]["samples"]) == 10000
     res = invoke(runner, args + ["--format", "csv"])
     assert res.exit_code == 0
     assert len(res.stdout.splitlines()) == 10002
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_profiles_larger_than_physical_memory_exit_1_before_any_is_built(runner, monkeypatch,
+                                                                          fmt):
+    # 1000 profiles of 1e6 points each pass the per-profile estimate of an
+    # 8 GiB machine, but together hold about 30 GiB
+    def never(*args, **kwargs):
+        raise AssertionError("a profile was built before the total was checked")
+
+    monkeypatch.setattr(gridops, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr("dunklkg.coherent.build_profile", never)
+    res = runner.invoke(cli, ["density", "--alpha", "1/2", "--xi", "0.3", "--n", "0..999",
+                              "--points", "1000000", "--format", fmt])
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: Unable to allocate about 59.6 GiB for a grid of 1000000000 points; "
+        "physical memory is 8 GiB\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_total_points_guard_counts_every_n_and_tau(runner, monkeypatch, fmt):
+    # 2 n x 2 tau x 1000 points at 64 B/point; one byte less is refused
+    need = 2 * 2 * 1000 * _PROFILES_BYTES_PER_POINT
+    args = ["evolve", "--alpha", "1/2", "--xi", "0.3", "--n", "0,1", "--tau", "0,1",
+            "--points", "1000", "--format", fmt]
+    monkeypatch.setattr(gridops, "_physical_memory", lambda: need)
+    assert invoke(runner, args).exit_code == 0
+    monkeypatch.setattr(gridops, "_physical_memory", lambda: need - 1)
+    res = runner.invoke(cli, args)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: Unable to allocate about ")
+    assert "a grid of 4000 points" in res.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_file_gets_the_bytes_of_stdout(runner, tmp_path, fmt):
+    # two 10k-point profiles: whole blocks and a partial one each
+    args = ["density", "--alpha", "3/2", "--xi", "0.1-0.6i", "--n", "1", "--tau", "0,1",
+            "--points", "10000", "--format", fmt]
+    out = tmp_path / f"profiles.{fmt}"
+    longer = b"a longer file that the export replaces\n" * 10**5
+    out.write_bytes(longer)
+    stdout = invoke(runner, args).stdout_bytes
+    assert invoke(runner, args + ["-o", str(out)]).stdout_bytes == b""
+    assert out.read_bytes() == stdout
+    assert len(stdout) < len(longer)
 
 
 def test_unwritable_output_fails_before_any_work(runner, monkeypatch):

@@ -35,7 +35,7 @@ from dunklkg import (
     suggested_series_terms,
     verify,
 )
-from dunklkg.coherent import _CSV_BLOCK_ROWS, _PROFILE_BYTES_PER_POINT
+from dunklkg.coherent import _BLOCK_ROWS, _PROFILE_BYTES_PER_POINT, profiles_to_csv
 
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
 XIS = [0.3 + 0.0j, 0.5 + 0.2j, 0.1 - 0.6j]
@@ -309,7 +309,7 @@ def test_build_profile_refuses_more_than_physical_memory(monkeypatch):
 def test_profile_serialization_deterministic():
     prof = build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.5 + 0.2j, points=50)
     assert prof.to_csv() == prof.to_csv()
-    assert profiles_to_json([prof]) == profiles_to_json([prof])
+    assert json_text([prof]) == json_text([prof])
     header = prof.to_csv().splitlines()[0]
     assert header.startswith("# case=gaussian alpha=1/2 n=1 xi=0.5+0.2i tau=0")
 
@@ -354,21 +354,27 @@ def json_dumps_document(profiles):
     return json.dumps({"profiles": [prof.to_json_obj() for prof in profiles]}, indent=2) + "\n"
 
 
+def json_text(profiles):
+    return "".join(profiles_to_json(profiles))
+
+
 def test_profile_json_equals_json_dumps():
     profiles = writer_profiles()
     nested = {"grid": [0.01, 2.0], "fit": {"terms": [1, {"tail": None}], "empty": []}}
     profiles.append(ProfileData(x=np.ones(2), values=np.ones(2) + 0j, density=np.ones(2),
                                 meta=nested))
+    empty = np.empty(0)
+    profiles.append(ProfileData(x=empty, values=empty + 0j, density=empty, meta={"n": 2}))
     for prof in profiles:
-        assert profiles_to_json([prof]) == json_dumps_document([prof])
-    assert profiles_to_json(profiles) == json_dumps_document(profiles)
-    assert profiles_to_json([]) == json_dumps_document([])
+        assert json_text([prof]) == json_dumps_document([prof])
+    assert json_text(profiles) == json_dumps_document(profiles)
+    assert json_text([]) == json_dumps_document([])
 
 
 def test_profile_json_spells_non_finite_samples_as_json_dumps():
     samples = np.array([math.inf, -math.inf, math.nan, 1.0])
     prof = ProfileData(x=samples, values=samples + 0j, density=samples, meta={"n": 1})
-    text = profiles_to_json([prof])
+    text = json_text([prof])
     assert text == json_dumps_document([prof])
     assert "Infinity" in text and "NaN" in text
 
@@ -387,7 +393,7 @@ def test_profile_csv_rows_are_nine_significant_digits():
 
 def test_profile_csv_blocks_join_into_one_body():
     # two whole formatting blocks and a partial third
-    points = 2 * _CSV_BLOCK_ROWS + 3
+    points = 2 * _BLOCK_ROWS + 3
     prof = build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.5 + 0.2j, points=points)
     lines = prof.to_csv().split("\n")
     expected = [
@@ -395,6 +401,28 @@ def test_profile_csv_blocks_join_into_one_body():
         for xv, val, dv in zip(prof.x, prof.values, prof.density)
     ]
     assert lines[2:-1] == expected and lines[-1] == ""
+
+
+@pytest.mark.parametrize("points", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 10000])
+def test_streamed_writers_equal_whole_documents_at_block_boundaries(points):
+    # two profiles, each one row short of, at, or past a whole block, or two
+    # blocks and a partial third
+    profiles = [
+        build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.3 - 0.4j, tau=tau,
+                      points=points, evolved=True)
+        for tau in (0.0, 2.3562)
+    ]
+    assert json_text(profiles) == json_dumps_document(profiles)
+    assert "".join(profiles_to_csv(profiles)) == "\n".join(prof.to_csv() for prof in profiles)
+
+
+def test_profile_json_spells_a_non_finite_sample_past_the_first_block():
+    prof = build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.5 + 0.2j,
+                         points=_BLOCK_ROWS + 100)
+    prof.density[_BLOCK_ROWS + 50] = math.nan
+    text = json_text([prof])
+    assert text == json_dumps_document([prof])
+    assert text.count("NaN") == 1 and "nan" not in text
 
 
 # --- any float input: a library error, or finite values equal on a repeat ----------
