@@ -17,6 +17,7 @@ letter case.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.util
 import json
@@ -36,8 +37,10 @@ import click
 
 # The scalar modules load eagerly: none of them loads numpy, so `spectrum`,
 # `table` and --help run without it (numpy is most of a cold call's import
-# time).  The array modules, and numpy with them, load lazily, on the first
-# attribute access by density, evolve or verify.
+# time).  `verify` loads lazily and loads no numpy itself; the array modules,
+# and numpy with them, load lazily too, on the first attribute access by
+# density, evolve or a verify check that computes on arrays, so the scalar
+# suites (casimir, sigma, table, self_consistency) also run without numpy.
 from .errors import DunklKGError, NormalizationError
 from .model import CurvatureCase, PhaseConvention, parse_alpha, parse_complex
 from .refdata import TABLES, compare_reference
@@ -104,6 +107,15 @@ def _parse_list(name: str, spec: str, parse) -> list:
         raise click.UsageError(f"bad {name} specification {spec!r}: {exc}") from exc
 
 
+def _open(path: str, mode: str):
+    """The --config or -o file, opened; a path that cannot be opened (a
+    missing directory, a directory, no permission) is bad input."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
 def _reads_config(command):
     """Apply the --config file: its key=value lines override the flags.
 
@@ -118,7 +130,7 @@ def _reads_config(command):
             return command(*args, **values)
         ctx = click.get_current_context()
         params = {p.name: p for p in ctx.command.params if p.name not in ("config", "output")}
-        with open(config, "r", encoding="utf-8") as fh:
+        with _open(config, "r") as fh:
             try:
                 lines = fh.readlines()
             except UnicodeDecodeError as exc:
@@ -158,7 +170,7 @@ def _opens_output(command):
         if output is None:
             return command(*args, output=None, **kwargs)
         existed = os.path.exists(output)
-        with open(output, "a", encoding="utf-8") as fh:
+        with _open(output, "a") as fh:
             try:
                 return command(*args, output=fh, **kwargs)
             finally:
@@ -174,26 +186,36 @@ def _emit(blocks: Iterable[str], output) -> None:
 
     Every command calls this once all its results are computed, so a run
     that fails writes nothing; the profile writers format each block only
-    when it is asked for, so the document is never whole in memory.
+    when it is asked for, so the document is never whole in memory.  The
+    final flush makes a failed write (a full disk) fail here, inside the
+    error boundary, however the stream is buffered.
     """
     if output is None:
-        write = sys.stdout.write
-    else:
-        if stat.S_ISREG(os.fstat(output.fileno()).st_mode):  # not /dev/null, a pipe, ...
-            output.truncate(0)
-        write = output.write
-    for block in blocks:
-        write(block)
+        output = sys.stdout
+    elif stat.S_ISREG(os.fstat(output.fileno()).st_mode):  # not /dev/null, a pipe, ...
+        output.truncate(0)
+    try:
+        for block in blocks:
+            output.write(block)
+        output.flush()
+    except BrokenPipeError:
+        raise
+    except OSError:
+        if output is sys.stdout:  # drop what the device refused, or the exit flush retries it
+            with contextlib.suppress(OSError):
+                output.close()
+        raise
 
 
 def _exit_codes(command):
     """The CLI's one error boundary: bad input exits 2, a failed computation exits 1.
 
     NormalizationError, ValueError, OverflowError and MemoryError (a grid
-    or n range larger than the machine can hold) are failed computations
-    and print ``error: ...``; every other DunklKGError, and an OSError from
-    an unreadable --config or unwritable -o path, is bad input and becomes
-    a usage error.  A closed stdout pipe is left to click, which exits 1
+    or n range larger than the machine can hold) are failed computations,
+    as is an OSError from writing the results (a full disk); they print
+    ``error: ...``.  Every other DunklKGError is bad input and becomes a
+    usage error, as does a --config or -o path that cannot be opened
+    (``_open``).  A closed stdout pipe is left to click, which exits 1
     quietly.
     """
 
@@ -201,12 +223,12 @@ def _exit_codes(command):
     def guarded(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except (NormalizationError, ValueError, OverflowError, MemoryError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            raise click.exceptions.Exit(1) from exc
         except BrokenPipeError:
             raise
-        except (DunklKGError, OSError) as exc:
+        except (NormalizationError, ValueError, OverflowError, MemoryError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise click.exceptions.Exit(1) from exc
+        except DunklKGError as exc:
             raise click.UsageError(str(exc)) from exc
 
     return guarded

@@ -37,6 +37,11 @@ eigenfunction row's residual Z3 F_n - (k+n) F_n once, which gives both the
 Z3 residual and the ODE residual (r times it), and ``run_verification``
 computes each spacing's sweep once per call: a default run sweeps the four
 grids h = 1e-3, 0.002, 0.004 and 0.008.
+
+Importing this module loads no numpy: each check that computes on arrays
+imports numpy and the array modules (``coherent``, ``eigenfunctions``,
+``gridops``) itself, so the scalar suites (casimir, sigma, table,
+self_consistency) run without it.
 """
 
 from __future__ import annotations
@@ -47,34 +52,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from . import complexfn
-from .coherent import (
-    CoherentParams,
-    coherent_closed_form,
-    coherent_evolved,
-    coherent_series,
-    density_profile,
-)
-from .eigenfunctions import (
-    eigenfunction_rows,
-    eigenfunction_x,
-    row_residuals,
-)
 from .errors import DomainError
-from .gridops import (
-    POSITIVE,
-    GridFunction,
-    ladder_apply,
-    positive_grid,
-)
-from .model import (
-    CurvatureCase,
-    bargmann_index,
-    radial_coupling,
-    sigma_index,
-)
+from .model import CurvatureCase, bargmann_index, radial_coupling, sigma_index
 from .refdata import compare_reference
 from .spectrum import energy_shifts, relation_rhs, self_consistency_residual
 
@@ -86,10 +66,11 @@ SERIES_XIS = (0.3 + 0.0j, 0.5 + 0.2j, 0.1 - 0.6j)
 # coherent-state checks run on the gaussian spectrum at R = 1
 GAUSSIAN = CurvatureCase.GAUSSIAN
 
-# standard grids
+# standard grids: the radial range of the sweeps, and the linspace arguments
+# (start, stop, samples) of the coherent-state grids, built where they are used
 R_MIN, R_MAX = 0.1, 20.0
-SERIES_X = np.linspace(0.01, 1.2, 120)
-DENSITY_X = np.linspace(0.01, 2.0, 400)
+SERIES_X = (0.01, 1.2, 120)
+DENSITY_X = (0.01, 2.0, 400)
 
 # spacing of the su(1,1) ladder diagnostics
 DIAGNOSTIC_H = 0.002
@@ -101,6 +82,8 @@ Z3_CONV_H = 0.002
 def _checked_grid(r_min: float, r_max: float, h: float) -> GridFunction:
     """The positive grid as the grid function r; building it checks the grid
     (uniform spacing, r >= h) once for every row evaluated on it."""
+    from .gridops import POSITIVE, GridFunction, positive_grid
+
     r = positive_grid(r_min, r_max, h)
     return GridFunction(r, r, h, POSITIVE)
 
@@ -165,6 +148,10 @@ def check_self_consistency() -> Dict:
 def grid_sweep(h: float) -> Tuple[float, float]:
     """Worst (Z3, ODE) ``row_residuals`` of the alpha x n sweep on the standard grid
     of spacing h; one F_n stream per alpha, one residual per row."""
+    import numpy as np
+
+    from .eigenfunctions import eigenfunction_rows, row_residuals
+
     r = _checked_grid(R_MIN, R_MAX, h).points
     work = np.empty((5, r.size), dtype=complex)  # each row's F_n stream and residual
     z3, ode = zip(*(
@@ -204,18 +191,28 @@ def check_z3_convergence(sweep: Callable, h: float) -> Dict:
 
 
 def check_series_agreement() -> Dict:
+    import numpy as np
+
+    from .coherent import CoherentParams, coherent_closed_form, coherent_series
+
+    x = np.linspace(*SERIES_X)
     worst = 0.0
     for alpha in SWEEP_ALPHAS:
         for xi in SERIES_XIS:
             params = CoherentParams.for_case(GAUSSIAN, alpha, 0, xi)
-            closed = coherent_closed_form(SERIES_X, params)
-            series = coherent_series(SERIES_X, params)
+            closed = coherent_closed_form(x, params)
+            series = coherent_series(x, params)
             rel = float(np.max(np.abs(closed - series)) / np.max(np.abs(closed)))
             worst = max(worst, rel)
     return _check("coherent_series_agreement", worst, 1e-6)
 
 
 def check_xi_zero_reduction() -> Dict:
+    import numpy as np
+
+    from .coherent import CoherentParams, coherent_closed_form
+    from .eigenfunctions import eigenfunction_x
+
     seed, samples = 20240811, 100
     x = np.random.default_rng(seed).uniform(0.01, 2.0, size=samples)
     worst = 0.0
@@ -228,22 +225,32 @@ def check_xi_zero_reduction() -> Dict:
 
 
 def check_tau_zero_reduction() -> Dict:
+    import numpy as np
+
+    from .coherent import CoherentParams, coherent_closed_form, coherent_evolved
+
+    x = np.linspace(*DENSITY_X)
     worst = 0.0
     for alpha in SWEEP_ALPHAS:
         params = CoherentParams.for_case(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=0.0)
-        closed = coherent_closed_form(DENSITY_X, params)
-        evolved = coherent_evolved(DENSITY_X, params)
+        closed = coherent_closed_form(x, params)
+        evolved = coherent_evolved(x, params)
         worst = max(worst, float(np.max(np.abs(closed - evolved)) / np.max(np.abs(closed))))
     return _check("tau_zero_reduction", worst, 1e-15)
 
 
 def check_tau_periodicity() -> Dict:
+    import numpy as np
+
+    from .coherent import CoherentParams, density_profile
+
+    x = np.linspace(*DENSITY_X)
     worst = 0.0
     for alpha in SWEEP_ALPHAS:
         for tau0 in (0.0, math.pi / 2):
             base, shifted = (
                 density_profile(
-                    DENSITY_X,
+                    x,
                     CoherentParams.for_case(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=tau),
                     evolved=True,
                 ).values
@@ -254,6 +261,8 @@ def check_tau_periodicity() -> Dict:
 
 
 def check_laguerre_recurrence() -> Dict:
+    import numpy as np
+
     seed, samples = 977101, 200
     draws = np.random.default_rng(seed).uniform(-10, 10, size=(samples, 4))
     worst = 0.0
@@ -266,6 +275,8 @@ def check_laguerre_recurrence() -> Dict:
 
 
 def check_gamma_recurrence() -> Dict:
+    import numpy as np
+
     seed, samples = 515253, 500
     draws = np.random.default_rng(seed).uniform((0.5, -49.0), (19.0, 49.0), size=(samples, 2))
     worst = 0.0
@@ -276,6 +287,8 @@ def check_gamma_recurrence() -> Dict:
 
 
 def check_gamma_reflection() -> Dict:
+    import numpy as np
+
     seed, samples = 616263, 500
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -288,6 +301,8 @@ def check_gamma_reflection() -> Dict:
 
 
 def check_sqrt_roundtrip() -> Dict:
+    import numpy as np
+
     seed, samples = 717273, 10000
     draws = np.random.default_rng(seed).uniform(-50, 50, size=(samples, 2))
     worst = 0.0
@@ -300,6 +315,8 @@ def check_sqrt_roundtrip() -> Dict:
 
 
 def check_pow_identities() -> Dict:
+    import numpy as np
+
     seed, samples = 818283, 2000
     draws = np.random.default_rng(seed).uniform(-20, 20, size=(samples, 2))
     worst = 0.0
@@ -319,6 +336,8 @@ def _rel(residual: np.ndarray, scale: np.ndarray) -> float:
     """sup |residual| / sup |scale| over the interior, 8 samples in from each
     edge: clear of the stencils' one-sided edge rows (2 samples in).  The
     margin is part of what the ladder records measure, so it stays fixed."""
+    import numpy as np
+
     return float(np.max(np.abs(residual[8:-8])) / np.max(np.abs(scale[8:-8])))
 
 
@@ -330,6 +349,9 @@ def diagnostics_ladder(alpha=Fraction(1, 2)) -> List[Dict]:
     DIAGNOSTIC_H.  Each record is the worst over n of
     sup |T+- F_n - rhs| / sup |F_n|, the normalisation of the Z3 residual.
     """
+    from .eigenfunctions import eigenfunction_rows
+    from .gridops import ladder_apply
+
     grid = _checked_grid(R_MIN, R_MAX, DIAGNOSTIC_H)
     grid_rows = [grid.with_values(row) for row in eigenfunction_rows(3, alpha, grid.points)]
     f = [row.values for row in grid_rows]
@@ -351,13 +373,18 @@ def diagnostics_ladder(alpha=Fraction(1, 2)) -> List[Dict]:
 
 def diagnostics_peak_trend() -> List[Dict]:
     """Density peak locations versus n and alpha (figure-trend diagnostics)."""
+    import numpy as np
+
+    from .coherent import CoherentParams, density_profile
+
+    x = np.linspace(*DENSITY_X)
     peaks: Dict[str, List[float]] = {}
     for alpha in SWEEP_ALPHAS:
         row = []
         for n in SWEEP_N:
             params = CoherentParams.for_case(GAUSSIAN, alpha, n, 0.5 + 0.2j)
-            dens = density_profile(DENSITY_X, params).values
-            row.append(float(DENSITY_X[int(np.argmax(dens))]))
+            dens = density_profile(x, params).values
+            row.append(float(x[int(np.argmax(dens))]))
         peaks[str(alpha)] = row
     increases_with_n = {
         a: all(row[i] <= row[i + 1] for i in range(len(row) - 1)) for a, row in peaks.items()

@@ -52,8 +52,8 @@ def test_verify_sweeps_are_pinned():
     """The sweeps and grids that criteria 4-9 run over, as verify defines them."""
     assert verify.SWEEP_ALPHAS == ALPHAS and list(verify.SWEEP_N) == list(range(6))
     assert verify.SERIES_XIS == XIS and (verify.R_MIN, verify.R_MAX) == (0.1, 20.0)
-    assert np.array_equal(verify.SERIES_X, np.linspace(0.01, 1.2, 120))
-    assert np.array_equal(verify.DENSITY_X, np.linspace(0.01, 2.0, 400))
+    # the coherent-state grids, as their linspace arguments (start, stop, samples)
+    assert verify.SERIES_X == (0.01, 1.2, 120) and verify.DENSITY_X == (0.01, 2.0, 400)
 
 
 def test_criterion_01_table1_reproduction():

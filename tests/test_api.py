@@ -125,6 +125,12 @@ def test_import_dunklkg_loads_no_numpy():
     assert "numpy" not in _fresh("import json, sys, dunklkg; print(json.dumps(list(sys.modules)))")
 
 
+def test_import_verify_loads_no_numpy():
+    # its array checks import numpy and the array modules when they run
+    loaded = _fresh("import json, sys, dunklkg.verify; print(json.dumps(list(sys.modules)))")
+    assert "numpy" not in loaded
+
+
 def test_cli_import_loads_every_module_the_tracer_reads():
     loaded = _fresh("import json, sys, dunklkg.cli; print(json.dumps(sorted(sys.modules)))")
     assert {f"dunklkg.{name}" for name in TRACED_MODULES} <= set(loaded)
@@ -234,6 +240,13 @@ print(json.dumps([code, "numpy" in sys.modules, tasks]))
     ("table --reproduce table1", False),
     ("--help", False),
     ("density --alpha 1/2 --xi 0.3 --points 20", True),
+    # the scalar verify suites; the random-sample and grid suites load numpy
+    ("verify --suite casimir", False),
+    ("verify --suite sigma", False),
+    ("verify --suite table", False),
+    ("verify --suite self_consistency", False),
+    ("verify --suite gamma", True),
+    ("verify --suite z3", True),
 ])
 def test_only_the_array_commands_load_numpy(args, loads_numpy):
     code, numpy_loaded, tasks = _fresh(_CLI_RUN, *args.split())

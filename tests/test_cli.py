@@ -703,6 +703,32 @@ def test_closed_stdout_pipe_exits_1_quietly(runner, monkeypatch):
     assert "Error" not in res.stderr
 
 
+# /dev/full refuses every write with ENOSPC, as a full disk does
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [
+    "spectrum --alpha 1/2",
+    "table --reproduce table1",
+    "density --alpha 1/2 --xi 0.3 --points 20",
+    "verify --suite casimir",
+    "spectrum --alpha 1/2 -o /dev/full",
+    "density --alpha 1/2 --xi 0.3 --points 20 -o /dev/full",
+])
+def test_failed_write_of_the_results_exits_1_with_one_line_message(args, buffered):
+    # with either stdout buffering the refused write fails inside the command,
+    # not in the interpreter's flush at exit (which would exit 120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(dunklkg.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        child = subprocess.run([sys.executable, "-m", "dunklkg.cli", *args.split()],
+                               stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert child.returncode == 1
+    assert child.stderr == "error: [Errno 28] No space left on device\n"
+
+
 def test_spectrum_output_file(runner, tmp_path):
     out = tmp_path / "spec.csv"
     res = invoke(runner, ["spectrum", "--alpha", "1/2", "--n", "0..1", "-o", str(out)])

@@ -121,6 +121,30 @@ def test_consecutive_runs_give_equal_reports():
     assert verify.report_to_json(verify.run_verification()) == first
 
 
+# every check's name, and every diagnostic builder's (each emits several records)
+SUITE_NAMES = (
+    "casimir_identity", "sigma_identity", "table1_reproduction", "table2_reproduction",
+    "self_consistency", "ode_residual", "ode_convergence", "z3_eigenvalue", "z3_convergence",
+    "coherent_series_agreement", "xi_zero_reduction", "tau_zero_reduction", "tau_periodicity",
+    "laguerre_recurrence", "gamma_recurrence", "gamma_reflection", "sqrt_square_roundtrip",
+    "pow_identities", "ladder_action", "density_peak", "self_consistency_strict_principal",
+)
+
+
+def test_a_suite_filter_changes_no_record():
+    full = verify.run_verification()
+    by_name = {rec["name"]: rec for rec in full["checks"] + full["diagnostics"]}
+    covered = set()
+    for suite in SUITE_NAMES:
+        part = verify.run_verification(suite=suite)
+        records = part["checks"] + part["diagnostics"]
+        assert any(rec["name"].startswith(suite) for rec in records), suite
+        for rec in records:
+            assert rec == by_name[rec["name"]], (suite, rec["name"])
+            covered.add(rec["name"])
+    assert covered == set(by_name)
+
+
 # Any float spacing: st.floats() draws nan, +-inf, 0, negatives, subnormals and
 # 1e308.  Spacings in [1e-12, 1e-3) are left out: they allocate sweeps of 20k
 # to 2e13 points, limited only by physical memory.  Below 1e-12 a sweep would
@@ -259,8 +283,9 @@ def series_by_contraction(x, params):
 @pytest.mark.parametrize("xi", verify.SERIES_XIS, ids=str)
 def test_series_equals_table_contraction(alpha, xi):
     params = CoherentParams.for_case(verify.GAUSSIAN, alpha, 0, xi)
-    got = coherent_series(verify.SERIES_X, params)
-    want = series_by_contraction(verify.SERIES_X, params)
+    x = np.linspace(*verify.SERIES_X)
+    got = coherent_series(x, params)
+    want = series_by_contraction(x, params)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
