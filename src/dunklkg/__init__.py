@@ -18,7 +18,7 @@ import importlib
 _EXPORTS = {
     **dict.fromkeys((
         "CoherentParams", "ProfileData", "build_profile",
-        "coherent_closed_form", "coherent_evolved", "coherent_series", "density_profile",
+        "coherent_closed_form", "coherent_evolved", "coherent_series",
         "profiles_to_json", "suggested_series_terms",
     ), "coherent"),
     **dict.fromkeys((

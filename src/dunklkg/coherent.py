@@ -50,7 +50,7 @@ import numpy as np
 from .complexfn import laguerre_rows, log_gamma, principal_log
 from .errors import DomainError, NormalizationError
 from .eigenfunctions import radial_envelope
-from .gridops import POSITIVE, GridFunction, require_memory
+from .gridops import require_memory
 from .model import (
     AlphaLike,
     CurvatureCase,
@@ -71,7 +71,6 @@ __all__ = [
     "coherent_closed_form",
     "coherent_evolved",
     "coherent_series",
-    "density_profile",
     "profiles_to_csv",
     "profiles_to_json",
     "suggested_series_terms",
@@ -259,53 +258,6 @@ def coherent_evolved(x, params: CoherentParams):
     return _closed_form(x, params.alpha, params.lambda_scale, rotated, log_phase)
 
 
-def _require_window(x_min: float, x_max: float) -> None:
-    if not (0.0 < x_min < x_max < math.inf):
-        raise DomainError(
-            f"density grid must be finite with 0 < x_min < x_max, got [{x_min}, {x_max}]"
-        )
-    if not math.isfinite(x_max * x_max):  # x^2 is the variable of the exponent
-        raise DomainError(f"density grid needs a finite x_max^2, got x_max = {x_max}")
-
-
-def _normalized_density(x_arr: np.ndarray, params: CoherentParams, evolved: bool):
-    """Amplitudes, normalized density, and the raw trapezoidal integral.
-
-    The static state is the evolved one at tau = 0 in the corrected
-    convention, so ``evolved`` False with any other tau or convention is
-    refused rather than labelled with a state it did not build.
-    """
-    if not evolved and (params.tau != 0 or params.phase_convention is PhaseConvention.AS_PRINTED):
-        raise DomainError(
-            f"the static state has tau = 0 in the corrected convention; pass evolved=True "
-            f"for tau = {params.tau} and phase convention {params.phase_convention.value!r}"
-        )
-    if x_arr.size < 2:
-        raise DomainError(f"density grid needs at least 2 points, got {x_arr.size}")
-    _require_window(float(x_arr[0]), float(x_arr[-1]))
-    with np.errstate(all="ignore"):  # overflow shows as a non-finite integral
-        values = coherent_evolved(x_arr, params) if evolved else coherent_closed_form(x_arr, params)
-        dens = values.real * values.real + values.imag * values.imag
-        integral = float(np.trapezoid(dens, x_arr))
-    if not math.isfinite(integral) or integral < sys.float_info.min:  # subnormal
-        raise NormalizationError(f"raw density integral {integral} cannot be normalized")
-    return values, dens / integral, integral
-
-
-def density_profile(x_grid, params: CoherentParams, evolved: bool = False) -> GridFunction:
-    """Normalized |R|^2 on the grid; integrates to 1 by trapezoidal rule.
-
-    Raises NormalizationError when the raw integral is non-finite or below
-    sys.float_info.min, where it is subnormal and has lost precision, and
-    DomainError for the static state (``evolved`` False) at tau != 0 or in
-    the as-printed convention.
-    """
-    x_arr = np.asarray(x_grid, dtype=float)
-    _, dens, _ = _normalized_density(x_arr, params, evolved)
-    h = float(x_arr[1] - x_arr[0])
-    return GridFunction(points=x_arr, values=dens, h=h, domain_kind=POSITIVE)
-
-
 # figure-note instability: this (alpha, n) combination produces a density
 # dominated by a sharp boundary peak; emitted with a warning, never silently
 _UNSTABLE_ALPHA = Fraction(7, 2)
@@ -419,18 +371,41 @@ def build_profile(
     points: int = 400,
     evolved: bool = False,
 ) -> ProfileData:
-    """Evaluate one (n, tau) profile with full metadata for the CLI, which
-    always builds the evolved state; ``evolved`` False gives the static one,
-    which exists only at tau = 0 in the corrected convention (else DomainError)."""
+    """One (n, tau) profile on ``points`` samples of [x_min, x_max], its density
+    normalized to 1 by the trapezoidal rule, with full metadata.
+
+    The CLI builds the evolved state; ``evolved`` False gives the static one,
+    which exists only at tau = 0 in the corrected convention (else
+    DomainError).  A raw integral that is non-finite or below
+    sys.float_info.min (subnormal, so it has lost precision) raises
+    NormalizationError.
+    """
     if points < 9:
         raise DomainError("need at least 9 grid points")
     params = CoherentParams.for_case(
         case, alpha, n, xi, R=R, branch=branch, tau=tau, phase_convention=phase_convention
     )
     require_memory(points, _PROFILE_BYTES_PER_POINT)
-    _require_window(x_min, x_max)  # before linspace, which turns infinities into nan
+    # the window is checked before linspace, which turns infinities into nan
+    if not (0.0 < x_min < x_max < math.inf):
+        raise DomainError(
+            f"density grid must be finite with 0 < x_min < x_max, got [{x_min}, {x_max}]"
+        )
+    if not math.isfinite(x_max * x_max):  # x^2 is the variable of the exponent
+        raise DomainError(f"density grid needs a finite x_max^2, got x_max = {x_max}")
     x_arr = np.linspace(x_min, x_max, points)
-    values, dens, integral = _normalized_density(x_arr, params, evolved)
+    if not evolved and (tau != 0 or phase_convention is PhaseConvention.AS_PRINTED):
+        raise DomainError(
+            f"the static state has tau = 0 in the corrected convention; pass evolved=True "
+            f"for tau = {tau} and phase convention {phase_convention.value!r}"
+        )
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite integral
+        values = coherent_evolved(x_arr, params) if evolved else coherent_closed_form(x_arr, params)
+        dens = values.real * values.real + values.imag * values.imag
+        integral = float(np.trapezoid(dens, x_arr))
+    if not math.isfinite(integral) or integral < sys.float_info.min:  # subnormal
+        raise NormalizationError(f"raw density integral {integral} cannot be normalized")
+    dens /= integral
     warning = None
     if Fraction(alpha) == _UNSTABLE_ALPHA and n == 0:
         warning = "density numerically unstable (boundary-dominated peak) for alpha=7/2, n=0"

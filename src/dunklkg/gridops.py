@@ -226,8 +226,8 @@ def ladder_apply(sign: int, gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     su(1,1) algebra, [Z3, T_+-] = +-T_+- and [T_+, T_-] = -2 Z3, and act on
     the eigenfunctions as the Laguerre ladder (DLMF 18.9):
     T_+ F_n = -(n+1) F_{n+1} and T_- F_n = -(n+2k-1) F_{n-1}, T_- F_0 = 0.
-    Relative to D_+- = -+ r f' + (i/2) r f + Z3 f, which this function
-    applied before and which closes no such algebra, T_+- = D_+- - 2 Z3.
+    Relative to D_+- = -+ r f' + (i/2) r f + Z3 f, which closes no such
+    algebra, T_+- = D_+- - 2 Z3.
     The paper's printed relations, [Z3, D+] = -D+, [Z3, D-] = +D- and
     [D+, D-] = 2 Z3, hold for T_-+ (its D+ is T_-, its D- is T_+).
     """

@@ -79,8 +79,8 @@ ODE_CONV_H = 0.004
 Z3_CONV_H = 0.002
 
 
-def _checked_grid(r_min: float, r_max: float, h: float) -> GridFunction:
-    """The positive grid as the grid function r; building it checks the grid
+def _checked_grid(r_min: float, r_max: float, h: float):
+    """The positive grid as the ``GridFunction`` r; building it checks the grid
     (uniform spacing, r >= h) once for every row evaluated on it."""
     from .gridops import POSITIVE, GridFunction, positive_grid
 
@@ -242,18 +242,15 @@ def check_tau_zero_reduction() -> Dict:
 def check_tau_periodicity() -> Dict:
     import numpy as np
 
-    from .coherent import CoherentParams, density_profile
+    from .coherent import build_profile
 
-    x = np.linspace(*DENSITY_X)
+    x_min, x_max, points = DENSITY_X
     worst = 0.0
     for alpha in SWEEP_ALPHAS:
         for tau0 in (0.0, math.pi / 2):
             base, shifted = (
-                density_profile(
-                    x,
-                    CoherentParams.for_case(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=tau),
-                    evolved=True,
-                ).values
+                build_profile(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=tau, x_min=x_min,
+                              x_max=x_max, points=points, evolved=True).density
                 for tau in (tau0, tau0 + 2.0 * math.pi)
             )
             worst = max(worst, float(np.max(np.abs(base - shifted)) / np.max(base)))
@@ -332,10 +329,11 @@ def check_pow_identities() -> Dict:
 # measured-only diagnostics
 # ---------------------------------------------------------------------------
 
-def _rel(residual: np.ndarray, scale: np.ndarray) -> float:
-    """sup |residual| / sup |scale| over the interior, 8 samples in from each
-    edge: clear of the stencils' one-sided edge rows (2 samples in).  The
-    margin is part of what the ladder records measure, so it stays fixed."""
+def _rel(residual, scale) -> float:
+    """sup |residual| / sup |scale| of two arrays over the interior, 8
+    samples in from each edge: clear of the stencils' one-sided edge rows
+    (2 samples in).  The margin is part of what the ladder records measure,
+    so it stays fixed."""
     import numpy as np
 
     return float(np.max(np.abs(residual[8:-8])) / np.max(np.abs(scale[8:-8])))
@@ -375,16 +373,16 @@ def diagnostics_peak_trend() -> List[Dict]:
     """Density peak locations versus n and alpha (figure-trend diagnostics)."""
     import numpy as np
 
-    from .coherent import CoherentParams, density_profile
+    from .coherent import build_profile
 
-    x = np.linspace(*DENSITY_X)
+    x_min, x_max, points = DENSITY_X
     peaks: Dict[str, List[float]] = {}
     for alpha in SWEEP_ALPHAS:
         row = []
         for n in SWEEP_N:
-            params = CoherentParams.for_case(GAUSSIAN, alpha, n, 0.5 + 0.2j)
-            dens = density_profile(x, params).values
-            row.append(float(x[int(np.argmax(dens))]))
+            prof = build_profile(GAUSSIAN, alpha, n, 0.5 + 0.2j, x_min=x_min, x_max=x_max,
+                                 points=points)
+            row.append(float(prof.x[int(np.argmax(prof.density))]))
         peaks[str(alpha)] = row
     increases_with_n = {
         a: all(row[i] <= row[i + 1] for i in range(len(row) - 1)) for a, row in peaks.items()

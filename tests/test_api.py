@@ -15,11 +15,14 @@ already sets a count.
 """
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +76,36 @@ def test_allow_list_names_only_unreached_exports():
     assert not stale, f"allow-listed but exported-and-reached or gone: {sorted(stale)}"
 
 
+def _own_definitions(module):
+    """The functions and classes ``module`` defines, the methods of its
+    classes, and the callbacks of its click commands."""
+    for obj in vars(module).values():
+        obj = getattr(obj, "callback", obj)  # a click command's function
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                if inspect.isfunction(member):
+                    yield member
+
+
+def test_every_type_hint_resolves():
+    # a hint naming a symbol its module does not import raises NameError here
+    unresolved = []
+    for name in ["dunklkg"] + sorted(f"dunklkg.{p.stem}" for p in PKG.glob("[!_]*.py")):
+        module = importlib.import_module(name)
+        for obj in _own_definitions(module):
+            try:
+                typing.get_type_hints(obj)
+            except NameError as exc:
+                unresolved.append(f"{name}.{obj.__qualname__}: {exc}")
+    assert not unresolved
+
+
 def test_readme_library_example_runs():
     # the README's Library block, run as written, so it follows the API
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -80,7 +113,7 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     profile = namespace["profile"]
-    assert abs(np.trapezoid(profile.values, profile.points) - 1.0) < 1e-12
+    assert abs(np.trapezoid(profile.density, profile.x) - 1.0) < 1e-12
 
 
 # --- start-up ---------------------------------------------------------------
@@ -89,7 +122,7 @@ def test_readme_library_example_runs():
 EXPORTED_BY_MODULE = {
     "coherent": ["CoherentParams", "PhaseConvention", "ProfileData", "build_profile",
                  "coherent_closed_form", "coherent_evolved", "coherent_series",
-                 "density_profile", "profiles_to_json", "suggested_series_terms"],
+                 "profiles_to_json", "suggested_series_terms"],
     "complexfn": ["gamma", "laguerre_rows", "laguerre_sequence", "log_gamma", "principal_log",
                   "principal_pow", "principal_sqrt"],
     "eigenfunctions": ["eigenfunction_r", "eigenfunction_rows", "eigenfunction_x",
@@ -151,7 +184,7 @@ import dunklkg, dunklkg.cli
 same = [getattr(dunklkg, name) is sys.modules[f"dunklkg.{name}"]
         for name in json.loads(sys.argv[1])]
 same += [dunklkg.cli.coherent is dunklkg.coherent, dunklkg.cli.verify is dunklkg.verify,
-         dunklkg.coherent.GridFunction is dunklkg.gridops.GridFunction,
+         dunklkg.coherent.require_memory is dunklkg.gridops.require_memory,
          all(sys.modules[name] is module for name, module in seen.items())]
 print(json.dumps(same))
 """

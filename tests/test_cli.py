@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import dunklkg
 from dunklkg import CurvatureCase, bargmann_index, build_profile, gridops
 from dunklkg.cli import cli
-from dunklkg.coherent import _PROFILES_BYTES_PER_POINT
+from dunklkg.coherent import _PROFILES_BYTES_PER_POINT, profiles_to_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 NOT_UTF8_CONFIG = Path(__file__).parent / "data" / "not_utf8.cfg"  # alpha=<byte 0xff>/2
@@ -798,6 +798,18 @@ def test_evolve_json_document_equals_json_dumps(runner):
     ]
     doc = {"profiles": [p.to_json_obj() for p in profiles]}
     assert res.stdout == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("window", [[], ["--x-min", "0.001"]], ids=["default", "x-min-0.001"])
+def test_library_profile_has_the_bytes_density_prints(runner, window):
+    # the README's library call, written by the CLI's CSV writer; the second
+    # window starts below the spacing of its 400 samples
+    res = invoke(runner, ["density", "--alpha", "1/2", "--xi", "0.5+0.2i"] + window)
+    assert res.exit_code == 0
+    window_options = {"x_min": float(window[1])} if window else {}
+    profile = build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 0, 0.5 + 0.2j,
+                            **window_options)
+    assert res.stdout == "".join(profiles_to_csv([profile]))
 
 
 def test_density_is_the_evolved_state_at_its_tau(runner):

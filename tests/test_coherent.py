@@ -25,7 +25,6 @@ from dunklkg import (
     coherent_closed_form,
     coherent_evolved,
     coherent_series,
-    density_profile,
     eigenfunction_x,
     energy_pair,
     gridops,
@@ -215,39 +214,34 @@ def test_tau_pi_flips_real_xi():
 
 
 def test_density_periodicity_two_pi():
-    x = np.linspace(0.01, 2.0, 400)
     for tau0 in (0.0, 1.3):
-        d0 = density_profile(x, params_for(Fraction(1, 2), n=1, tau=tau0), evolved=True)
-        d1 = density_profile(
-            x, params_for(Fraction(1, 2), n=1, tau=tau0 + 2.0 * math.pi), evolved=True
+        d0, d1 = (
+            build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.5 + 0.2j, tau=tau,
+                          evolved=True).density
+            for tau in (tau0, tau0 + 2.0 * math.pi)
         )
-        assert np.max(np.abs(d0.values - d1.values)) / np.max(d0.values) < 1e-10
+        assert np.max(np.abs(d0 - d1)) / np.max(d0) < 1e-10
 
 
 def test_phase_conventions_share_densities():
-    x = np.linspace(0.01, 2.0, 300)
     for tau in (0.0, 1.1):
-        d_corr = density_profile(
-            x, params_for(Fraction(3, 2), n=1, tau=tau, convention=PhaseConvention.CORRECTED),
-            evolved=True,
+        d_corr, d_print = (
+            build_profile(CurvatureCase.GAUSSIAN, Fraction(3, 2), 1, 0.5 + 0.2j, tau=tau,
+                          phase_convention=convention, points=300, evolved=True).density
+            for convention in (PhaseConvention.CORRECTED, PhaseConvention.AS_PRINTED)
         )
-        d_print = density_profile(
-            x, params_for(Fraction(3, 2), n=1, tau=tau, convention=PhaseConvention.AS_PRINTED),
-            evolved=True,
-        )
-        assert np.max(np.abs(d_corr.values - d_print.values)) < 1e-12 * np.max(d_corr.values)
+        assert np.max(np.abs(d_corr - d_print)) < 1e-12 * np.max(d_corr)
 
 
 # --- densities ----------------------------------------------------------------------
 
 def test_density_normalized_and_nonnegative():
-    x = np.linspace(0.01, 2.0, 400)
     for alpha in ALPHAS:
         for n in range(3):
-            prof = density_profile(x, params_for(alpha, n=n))
-            assert np.all(prof.values >= 0.0)
-            assert np.trapezoid(prof.values, x) == pytest.approx(1.0, abs=1e-10)
-            assert prof.values[0] < np.max(prof.values)
+            prof = build_profile(CurvatureCase.GAUSSIAN, alpha, n, 0.5 + 0.2j)
+            assert np.all(prof.density >= 0.0)
+            assert np.trapezoid(prof.density, prof.x) == pytest.approx(1.0, abs=1e-10)
+            assert prof.density[0] < np.max(prof.density)
 
 
 def test_density_vanishes_toward_origin():
@@ -259,11 +253,9 @@ def test_density_vanishes_toward_origin():
 
 
 def test_density_normalization_error_on_underflow():
-    params = CoherentParams(
-        xi=0.0 + 0.0j, alpha=Fraction(1, 2), lambda_scale=3000.0 - 4000.0j
-    )
+    # the raw integral is about 1.4e-311, subnormal
     with pytest.raises(NormalizationError):
-        density_profile(np.linspace(0.5, 2.0, 100), params)
+        build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 0, 0.3, R=1e-157)
 
 
 def test_density_grid_whose_square_overflows_is_refused_without_warning():
@@ -271,7 +263,7 @@ def test_density_grid_whose_square_overflows_is_refused_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="finite x_max\\^2"):
-            density_profile(np.array([1.0, 1e200]), params_for(Fraction(1, 2)))
+            build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 0, 0.3, x_min=1.0, x_max=1e200)
 
 
 def test_build_profile_metadata_and_warning():
@@ -293,8 +285,6 @@ def test_static_state_is_refused_where_it_is_not_the_evolved_one(tau, convention
     with pytest.raises(DomainError, match="evolved=True"):
         build_profile(CurvatureCase.GAUSSIAN, Fraction(1, 2), 1, 0.3, tau=tau,
                       phase_convention=convention, points=40)
-    with pytest.raises(DomainError, match="evolved=True"):
-        density_profile(X_GRID, params_for(Fraction(1, 2), n=1, tau=tau, convention=convention))
 
 
 def test_build_profile_refuses_more_than_physical_memory(monkeypatch):
