@@ -158,20 +158,20 @@ def laguerre_rows(n_max: int, a: complex, z, out=None):
     if n_max < 0:
         raise DomainError("laguerre order must be non-negative")
     z = np.asarray(z, dtype=complex)
-    # a 0-d z recurs on numpy scalars, which skip the ufunc call overhead
-    return _laguerre_recurrence(n_max, a, z[()] if z.ndim == 0 else z, out)
+    # a 0-d z recurs on Python complex, which skips numpy's scalar overhead
+    return _laguerre_recurrence(n_max, a, complex(z) if z.ndim == 0 else z, out)
 
 
 def _laguerre_recurrence(n_max: int, a: complex, z, out):
     # The one recurrence.  sub[s] and mul[s] compute into out[s] (numpy's
     # ufuncs with out=); without ``out`` they are the operators, which give
-    # new arrays, or numpy scalars for a scalar z.  Either way each
+    # new arrays, or Python complex for a scalar z.  Either way each
     # operation and its operand order are the same.
     import numpy as np
 
     if out is None:
         sub, mul = (operator.sub,) * 3, (operator.mul,) * 3
-        prev = np.ones(z.shape, dtype=complex)
+        prev = 1.0 + 0.0j if isinstance(z, complex) else np.ones(z.shape, dtype=complex)
     else:
         sub = [functools.partial(np.subtract, out=buf) for buf in out]
         mul = [functools.partial(np.multiply, out=buf) for buf in out]

@@ -73,12 +73,17 @@ def radial_envelope(alpha: AlphaLike, r: np.ndarray) -> np.ndarray:
     """The factor r^(sigma+1/2) e^(-ir/2) of F_n shared by every n; 0 at r = 0.
 
     ``r`` is a complex ndarray.  The power is principal; Re(sigma + 1/2) =
-    1/2 > 0, so the value at r = 0 is its limit 0.
+    1/2 > 0, so the value at r = 0 is its limit 0.  The product is built in
+    one new array and one phase array, each step through ``out=``; log 0
+    gives non-finite values there, which the limit then replaces.
     """
     sig = sigma_index(alpha)
-    out = np.zeros_like(r)
-    nz = r != 0
-    out[nz] = np.exp((sig + 0.5) * np.log(r[nz])) * np.exp(-0.5j * r[nz])
+    out = np.empty_like(r)
+    phase = np.multiply(-0.5j, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.exp(np.multiply(sig + 0.5, np.log(r, out=out), out=out), out=out)
+    np.multiply(out, np.exp(phase, out=phase), out=out)
+    out[r == 0] = 0
     return out
 
 
@@ -92,9 +97,10 @@ def eigenfunction_rows(n_max: int, alpha: AlphaLike, r, out=None):
     overwritten by the next.
     """
     r_arr = np.asarray(r, dtype=complex)
+    # the envelope first, so its phase array is freed before 1j * r exists
+    envelope = radial_envelope(alpha, r_arr)
     lag_out, f_out = (None, None) if out is None else (out[1:], out[0])
     lag_rows = laguerre_rows(n_max, 2.0 * sigma_index(alpha), 1j * r_arr, lag_out)
-    envelope = radial_envelope(alpha, r_arr)
     return (np.multiply(envelope, lag, out=f_out) for lag in lag_rows)
 
 

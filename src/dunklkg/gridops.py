@@ -39,9 +39,9 @@ POSITIVE = "positive"
 
 _UNIFORM_TOL = 1e-12
 _MIN_POINTS = 9
-# peak bytes per point of the heaviest positive-grid user, a verify grid
-# sweep with its work buffers (185 measured with tracemalloc at h = 1e-3; the
-# ladder diagnostics on F_0 .. F_3 peak at 184), with a 16 % margin
+# peak bytes per point of the heaviest positive-grid user, the ladder
+# diagnostics on F_0 .. F_3 (184 measured with tracemalloc; a verify grid
+# sweep with its work buffers peaks at 151 at h = 1e-3), with a 17 % margin
 _POSITIVE_GRID_BYTES_PER_POINT = 216
 
 

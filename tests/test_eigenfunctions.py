@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +112,23 @@ def test_streamed_rows_equal_eigenfunction_r():
             for n, row in enumerate(rows):
                 assert np.array_equal(row, eigenfunction_r(n, alpha, r))
                 assert np.array_equal(row, envelope * table[n])
+
+
+def test_envelope_is_zero_at_r_zero_and_the_masked_formula_elsewhere():
+    # built in place over every sample, log 0 included, the envelope raises no
+    # floating-point warning and keeps the bits of the formula applied to r != 0 only
+    x = np.linspace(0.0, 2.0, 50)
+    for alpha in ALPHAS:
+        sig = sigma_index(alpha)
+        real_r = np.concatenate(([0.0], positive_grid(0.1, 20.0, 0.01), [0.0]))
+        for r in (real_r.astype(complex), case1_lambda(1, alpha) * x**2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                envelope = radial_envelope(alpha, r)
+            nz = r != 0
+            want = np.exp((sig + 0.5) * np.log(r[nz])) * np.exp(-0.5j * r[nz])
+            assert np.array_equal(envelope[nz].view(np.uint64), want.view(np.uint64))
+            assert not envelope[~nz].view(np.uint64).any()  # +0 in both parts
 
 
 def test_even_factorization():

@@ -71,6 +71,18 @@ def test_positive_grid_constant_bounds_a_verify_grid_sweep():
     assert peak <= gridops._POSITIVE_GRID_BYTES_PER_POINT * grid_points(1e-3)
 
 
+# The h = 1e-3 sweep peaks at 151 B/point with the envelope built in place
+# (186 when it was scattered from masked copies of r), and it sets the peak
+# of a whole verify run.
+SWEEP_BYTES_PER_POINT = 160
+
+
+def test_verify_grid_sweep_peak_per_point():
+    verify.grid_sweep(1e-2)
+    peak = traced_peak(lambda: verify.grid_sweep(1e-3))
+    assert peak <= SWEEP_BYTES_PER_POINT * grid_points(1e-3)
+
+
 def test_positive_grid_constant_bounds_the_ladder_diagnostic():
     verify.diagnostics_ladder()
     peak = traced_peak(verify.diagnostics_ladder)
