@@ -13,10 +13,13 @@ with xi in the open unit disk.  It is evaluated as exp E(x) of one exponent
     E(x) = C + 2k log x + q x^2,   q = (i Lambda / 2) (xi+1)/(xi-1),
     C = log[N_0 (1-|xi|^2)^k] + k Log Lambda - 2k Log(1-xi) + log phase,
 
-with N_0 the n = 0 eigenfunction prefactor and the log phase 0 (static) or
-that of the evolved state.  Re E and Im E are built from real arrays and one
-complex exp gives each sample, so no complex product or complex abs touches
-the samples, and the profiles do not depend on numpy's SIMD kernels.
+with N_0 the n = 0 eigenfunction prefactor (``log_normalization`` at n = 0)
+and the log phase 0 (static) or that of the evolved state.  Re E and Im E
+are built from real arrays and one complex exp gives each sample, so no
+complex product or complex abs touches the samples.  The real log x still
+goes through numpy's SIMD kernels, whose AVX-512 log differs from the
+baseline one in the last bit on some x: the goldens and CSV at 9 digits
+hold across the kernels, larger JSON exports need not.
 
 The independent construction sums the displacement series
 sum_n sqrt(Gamma(n+2k)/(n! Gamma(2k))) xi^n F_n(x) over the eigenfunctions;
@@ -47,9 +50,9 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .complexfn import laguerre_rows, log_gamma, principal_log
+from .complexfn import laguerre_rows, principal_log
 from .errors import DomainError, NormalizationError
-from .eigenfunctions import radial_envelope
+from .eigenfunctions import log_normalization, radial_envelope
 from .gridops import require_memory
 from .model import (
     AlphaLike,
@@ -76,20 +79,18 @@ __all__ = [
     "suggested_series_terms",
 ]
 
-_LN2 = math.log(2.0)
-
 # Series truncation: cut when the term bound drops below this relative level.
 _TAIL_TARGET = 1e-10
 _MAX_TERMS = 600
 _MIN_TERMS = 16
 
-# peak bytes per point of build_profile (81 measured with tracemalloc at
+# peak bytes per point of build_profile (48 measured with tracemalloc at
 # 100k and 400k points)
 _PROFILE_BYTES_PER_POINT = 96
 # peak bytes per point of build_profiles over all its profiles, which it
 # holds together: 32 held per point (x, complex values, density) plus the
-# 49 of work of the one being built, spread over the count (56.5 measured
-# with tracemalloc for two profiles, 44.3 for four); one profile is
+# 16 of work of the one being built, spread over the count (40.1 measured
+# with tracemalloc for two profiles, 36.0 for four); one profile is
 # bounded by build_profile's own guard
 _PROFILES_BYTES_PER_POINT = 64
 
@@ -160,32 +161,34 @@ def coherent_closed_form(x, params: CoherentParams):
     return _closed_form(x, params.alpha, params.lambda_scale, params.xi)
 
 
-def _log_weight(k: complex, lam: complex, xi: complex) -> complex:
+def _log_weight(alpha: AlphaLike, lam: complex, xi: complex) -> complex:
     """Log of the weight N_0 (1-|xi|^2)^k, N_0 the n = 0 eigenfunction prefactor."""
-    return (
-        0.5 * (_LN2 + (k + 0.5) * principal_log(lam) - log_gamma(2.0 * k))
-        + k * math.log1p(-abs(xi) ** 2)
-    )
+    return log_normalization(0, alpha, lam) + bargmann_index(alpha) * math.log1p(-abs(xi) ** 2)
 
 
 def _closed_form(x, alpha: AlphaLike, lam: complex, xi: complex, log_phase: complex = 0j):
+    """exp E(x) of the module docstring in one complex array: Re E and Im E
+    are built in its two planes through ``out=``, then exp in place.  log 0
+    gives non-finite values at x = 0, which the limit 0 then replaces."""
     k = bargmann_index(alpha)
     two_k = 2.0 * k
     scalar = np.ndim(x) == 0
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x_arr < 0):
+    if not np.all(x_arr >= 0):  # also rejects a NaN x
         raise DomainError("coherent states are evaluated for x >= 0")
-    c = _log_weight(k, lam, xi) + k * principal_log(lam) - two_k * principal_log(1.0 - xi)
+    c = _log_weight(alpha, lam, xi) + k * principal_log(lam) - two_k * principal_log(1.0 - xi)
     c += log_phase
     q = 0.5j * lam * (xi + 1.0) / (xi - 1.0)
-    out = np.zeros_like(x_arr, dtype=complex)
-    nz = x_arr > 0
-    x_nz = x_arr[nz]
-    log_x, x_sq = np.log(x_nz), x_nz * x_nz
-    exponent = np.empty(x_nz.shape, dtype=complex)
-    exponent.real = c.real + two_k.real * log_x + q.real * x_sq
-    exponent.imag = c.imag + two_k.imag * log_x + q.imag * x_sq
-    out[nz] = np.exp(exponent)
+    out = np.empty(x_arr.shape, dtype=complex)
+    re, im = out.real, out.imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_x, x_sq = np.log(x_arr), x_arr * x_arr
+        np.add(c.real, np.multiply(two_k.real, log_x, out=re), out=re)
+        np.add(c.imag, np.multiply(two_k.imag, log_x, out=im), out=im)
+        re += np.multiply(q.real, x_sq, out=log_x)
+        im += np.multiply(q.imag, x_sq, out=x_sq)
+        np.exp(out, out=out)
+    out[x_arr == 0] = 0
     if scalar:
         return complex(out[0])
     return out
@@ -236,7 +239,7 @@ def coherent_series(x, params: CoherentParams, n_terms: Optional[int] = None):
         total += xi_pow * row
         xi_pow *= params.xi
     total *= radial_envelope(alpha, r)
-    total *= cmath.exp(_log_weight(bargmann_index(alpha), lam, params.xi))
+    total *= cmath.exp(_log_weight(alpha, lam, params.xi))
     if scalar:
         return complex(total[0])
     return total

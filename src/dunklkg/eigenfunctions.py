@@ -43,6 +43,7 @@ __all__ = [
     "eigenfunction_r",
     "eigenfunction_rows",
     "eigenfunction_x",
+    "log_normalization",
     "normalization",
     "ode_residual",
     "radial_envelope",
@@ -52,21 +53,25 @@ __all__ = [
 _LN2 = math.log(2.0)
 
 
-def normalization(n: int, alpha: AlphaLike, lambda_scale: complex) -> complex:
-    """Prefactor sqrt(2 Lambda^(sigma+1) n! / Gamma(n + 2 sigma + 1)), log-space branch."""
+def log_normalization(n: int, alpha: AlphaLike, lambda_scale: complex) -> complex:
+    """log N_n = (1/2) log(2 Lambda^(sigma+1) n! / Gamma(n + 2 sigma + 1)), principal Log Lambda."""
     if n < 0:
         raise DomainError("n must be non-negative")
     lam = complex(lambda_scale)
     if lam == 0:
         raise DegenerateError("lambda_scale = 0 has no normalizable eigenfunction")
     sig = sigma_index(alpha)
-    log_norm_sq = (
+    return 0.5 * (
         _LN2
         + (sig + 1.0) * principal_log(lam)
         + math.lgamma(n + 1)
         - log_gamma(n + 2.0 * sig + 1.0)
     )
-    return cmath.exp(0.5 * log_norm_sq)
+
+
+def normalization(n: int, alpha: AlphaLike, lambda_scale: complex) -> complex:
+    """Prefactor N_n = exp(``log_normalization``), log-space branch."""
+    return cmath.exp(log_normalization(n, alpha, lambda_scale))
 
 
 def radial_envelope(alpha: AlphaLike, r: np.ndarray) -> np.ndarray:
@@ -109,10 +114,9 @@ def eigenfunction_r(n: int, alpha: AlphaLike, r):
 
     ``r`` may be a scalar or ndarray, real non-negative or complex (the
     x-form feeds complex r = Lambda x^2).  F(0) = 0.  The value is the
-    last row of ``eigenfunction_rows(n, alpha, r)``.
+    last row of ``eigenfunction_rows(n, alpha, r)``; a negative n raises
+    DomainError there.
     """
-    if n < 0:
-        raise DomainError("n must be non-negative")
     for out in eigenfunction_rows(n, alpha, np.atleast_1d(r)):
         pass
     if np.ndim(r) == 0:
@@ -150,7 +154,7 @@ def ode_residual(
 
 
 def row_residuals(
-    n: int, alpha: AlphaLike, r: np.ndarray, h: float, f: np.ndarray, out=None
+    n: int, alpha: AlphaLike, r: np.ndarray, h: float, f: np.ndarray
 ) -> Tuple[float, float]:
     """(Z3, ODE) residuals of given samples ``f`` of F_n on the positive grid ``r`` (spacing h).
 
@@ -158,10 +162,8 @@ def row_residuals(
     max |res| / max |F|.  The reduced equation's residual is i r times res,
     so ``ode_residual`` is max |r res| / max |F| with the two samples nearest
     each edge dropped.  The operator is written once, in ``z3_values``.
-    ``out``, a complex array shaped like ``f``, holds the residual (a new
-    array by default).
     """
-    res = z3_values(f, r, h, alpha, out)
+    res = z3_values(f, r, h, alpha)
     res -= (bargmann_index(alpha) + n) * f
     scale = np.max(np.abs(f))
     z3 = float(np.max(np.abs(res)) / scale)

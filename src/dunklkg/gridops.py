@@ -41,7 +41,7 @@ _UNIFORM_TOL = 1e-12
 _MIN_POINTS = 9
 # peak bytes per point of the heaviest positive-grid user, the ladder
 # diagnostics on F_0 .. F_3 (184 measured with tracemalloc; a verify grid
-# sweep with its work buffers peaks at 151 at h = 1e-3), with a 17 % margin
+# sweep peaks at 151 at h = 1e-3), with a 17 % margin
 _POSITIVE_GRID_BYTES_PER_POINT = 216
 
 
@@ -139,9 +139,8 @@ _D2_EDGE0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0  # 0..5
 _D2_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0        # -1..4
 
 
-def _stencil(values: np.ndarray, h_pow: float, interior, edge0, edge1, right_sign: float, out=None):
-    """One 4th-order derivative of complex samples, h_pow = h^order, into
-    ``out`` (a new array by default; it must not overlap ``values``).
+def _stencil(values: np.ndarray, h_pow: float, interior, edge0, edge1, right_sign: float):
+    """One 4th-order derivative of complex samples, h_pow = h^order, in a new array.
 
     Row i is sum_j interior[j] f[i+j-2] / (12 h_pow), summed term by term on
     the float view of f (re, im interleaved, so offsets double), then
@@ -152,7 +151,7 @@ def _stencil(values: np.ndarray, h_pow: float, interior, edge0, edge1, right_sig
     f = np.ascontiguousarray(values, dtype=complex)
     if f.ndim != 1 or f.size < _MIN_POINTS:
         raise GridError("need a 1-D array of at least 9 samples for the 4th-order stencils")
-    out = np.empty_like(f) if out is None else out
+    out = np.empty_like(f)
     g, rows = f.view(float), out.view(float)[4:-4]
     term = np.empty_like(rows)
     np.multiply(g[:rows.size], interior[0], out=rows)
@@ -172,9 +171,9 @@ def derivative_4th(values: np.ndarray, h: float) -> np.ndarray:
     return _stencil(values, h, _D1_INTERIOR, _D1_EDGE0, _D1_EDGE1, -1.0)
 
 
-def second_derivative_4th(values: np.ndarray, h: float, out=None) -> np.ndarray:
+def second_derivative_4th(values: np.ndarray, h: float) -> np.ndarray:
     """Second derivative, O(h^4) at every sample."""
-    return _stencil(values, h * h, _D2_INTERIOR, _D2_EDGE0, _D2_EDGE1, 1.0, out)
+    return _stencil(values, h * h, _D2_INTERIOR, _D2_EDGE0, _D2_EDGE1, 1.0)
 
 
 def _require(gf: GridFunction, kind: str, op: str) -> None:
@@ -192,19 +191,17 @@ def dunkl_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     return gf.with_values(out)
 
 
-def z3_values(
-    values: np.ndarray, r: np.ndarray, h: float, alpha: AlphaLike, out=None
-) -> np.ndarray:
+def z3_values(values: np.ndarray, r: np.ndarray, h: float, alpha: AlphaLike) -> np.ndarray:
     """Compact generator Z3 f = i [ r f'' + (alpha/2 + 3/16) f / r + r f / 4 ].
 
     ``values`` are samples on the positive grid ``r`` of spacing ``h``; the
     grid is not checked here (a GridFunction checks it once when built).
-    The sum is formed term by term in the result, ``out`` if given (it must
-    not overlap ``values``); f / r is f times 1 / r, which is how numpy
-    divides a complex by a real, so the bits are those of the plain formula.
+    The sum is formed term by term in the second derivative's array; f / r
+    is f times 1 / r, which is how numpy divides a complex by a real, so the
+    bits are those of the plain formula.
     """
     c = radial_coupling(alpha)
-    z3 = second_derivative_4th(values, h, out)
+    z3 = second_derivative_4th(values, h)
     np.multiply(r, z3, out=z3)
     term = np.multiply(c, values)
     term *= 1.0 / r

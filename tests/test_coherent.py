@@ -30,6 +30,7 @@ from dunklkg import (
     gridops,
     log_gamma,
     normalization,
+    principal_log,
     profiles_to_json,
     suggested_series_terms,
     verify,
@@ -83,6 +84,34 @@ def test_xi_zero_reduction():
 
 def test_vanishes_at_origin():
     assert coherent_closed_form(0.0, params_for(Fraction(1, 2))) == 0.0
+
+
+def test_closed_form_is_zero_at_x_zero_and_the_masked_formula_elsewhere():
+    # built in place over every sample, log 0 included, the closed form raises
+    # no floating-point warning and keeps the bits of the exponent formed on
+    # x > 0 only, with N_0 written through (k + 1/2) and Gamma(2k)
+    x = np.concatenate(([0.0], np.linspace(0.01, 2.0, 199), [0.0]))
+    nz = x > 0
+    for alpha in ALPHAS:
+        k = bargmann_index(alpha)
+        for xi in XIS:
+            params = params_for(alpha, xi=xi)
+            lam = params.lambda_scale
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = coherent_closed_form(x, params)
+            c = (0.5 * (math.log(2.0) + (k + 0.5) * principal_log(lam) - log_gamma(2.0 * k))
+                 + k * math.log1p(-abs(xi) ** 2)
+                 + k * principal_log(lam) - 2.0 * k * principal_log(1.0 - xi))
+            q = 0.5j * lam * (xi + 1.0) / (xi - 1.0)
+            log_x, x_sq = np.log(x[nz]), x[nz] * x[nz]
+            exponent = np.empty(log_x.shape, dtype=complex)
+            exponent.real = c.real + (2.0 * k).real * log_x + q.real * x_sq
+            exponent.imag = c.imag + (2.0 * k).imag * log_x + q.imag * x_sq
+            assert np.array_equal(got[nz].view(np.uint64), np.exp(exponent).view(np.uint64))
+            assert not got[~nz].view(np.uint64).any()  # +0 in both parts
+    with pytest.raises(DomainError):
+        coherent_closed_form(np.array([0.5, np.nan]), params_for(Fraction(1, 2)))
 
 
 def test_series_single_term_is_ground_state():

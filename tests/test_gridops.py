@@ -122,9 +122,6 @@ def test_z3_values_equal_the_divided_formula_bitwise(alpha):
     c = radial_coupling(alpha)
     want = 1j * (r * second_derivative_4th(f, h) + c * f / r + 0.25 * r * f)
     assert np.array_equal(gridops.z3_values(f, r, h, alpha).view(np.uint64), want.view(np.uint64))
-    out = np.empty_like(f)
-    assert gridops.z3_values(f, r, h, alpha, out) is out
-    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 def test_dunkl_richardson_ratio_on_sine():

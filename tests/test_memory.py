@@ -49,10 +49,17 @@ def grid_points(h):
     return round((verify.R_MAX - verify.R_MIN) / h) + 1
 
 
+# build_profile peaks at 48 B/point with the closed form's exponent built in
+# place (81 when it was scattered from a masked copy of x into a zeroed array)
+PROFILE_PEAK_BYTES_PER_POINT = 64
+
+
 @pytest.mark.parametrize("points", [100_000, 400_000])
 def test_profile_constant_bounds_build_profile(points):
     profile(100)
-    assert traced_peak(lambda: profile(points)) <= _PROFILE_BYTES_PER_POINT * points
+    peak = traced_peak(lambda: profile(points))
+    assert peak <= _PROFILE_BYTES_PER_POINT * points
+    assert peak <= PROFILE_PEAK_BYTES_PER_POINT * points
 
 
 @pytest.mark.parametrize("count", [2, 4])
@@ -65,12 +72,6 @@ def test_profiles_constant_bounds_every_profile_held_at_once(count):
     assert peak <= _PROFILES_BYTES_PER_POINT * count * points
 
 
-def test_positive_grid_constant_bounds_a_verify_grid_sweep():
-    verify.grid_sweep(1e-2)
-    peak = traced_peak(lambda: verify.grid_sweep(1e-3))
-    assert peak <= gridops._POSITIVE_GRID_BYTES_PER_POINT * grid_points(1e-3)
-
-
 # The h = 1e-3 sweep peaks at 151 B/point with the envelope built in place
 # (186 when it was scattered from masked copies of r), and it sets the peak
 # of a whole verify run.
@@ -78,9 +79,11 @@ SWEEP_BYTES_PER_POINT = 160
 
 
 def test_verify_grid_sweep_peak_per_point():
+    # also bounded by the positive-grid constant, which is set by the ladder
     verify.grid_sweep(1e-2)
     peak = traced_peak(lambda: verify.grid_sweep(1e-3))
     assert peak <= SWEEP_BYTES_PER_POINT * grid_points(1e-3)
+    assert peak <= gridops._POSITIVE_GRID_BYTES_PER_POINT * grid_points(1e-3)
 
 
 def test_positive_grid_constant_bounds_the_ladder_diagnostic():
@@ -110,7 +113,7 @@ def test_streamed_writers_peak_does_not_grow_with_points(writer):
 def test_cli_export_peaks_while_it_builds_its_profile(tmp_path, fmt):
     # the blocks go to the -o file as they come, so writing adds the writer's
     # fixed peak to the 32 B/point the profile holds, and the command stays
-    # within build_profile's estimate (82 B/point measured for CSV, 88 for
+    # within build_profile's estimate (57 B/point measured for CSV, 88 for
     # JSON); text built whole would add 138 (CSV) or 685 (JSON) B/point
     points = 50_000
     args = ["density", "--alpha", "1/2", "--xi", "0.5+0.2i", "--n", "1", "--format", fmt,
