@@ -72,6 +72,12 @@ def test_profiles_constant_bounds_every_profile_held_at_once(count):
     assert peak <= _PROFILES_BYTES_PER_POINT * count * points
 
 
+def test_positive_grid_constant_bounds_a_verify_grid_sweep():
+    verify.grid_sweep(1e-2)
+    peak = traced_peak(lambda: verify.grid_sweep(1e-3))
+    assert peak <= gridops._POSITIVE_GRID_BYTES_PER_POINT * grid_points(1e-3)
+
+
 # The h = 1e-3 sweep peaks at 151 B/point with the envelope built in place
 # (186 when it was scattered from masked copies of r), and it sets the peak
 # of a whole verify run.
@@ -79,11 +85,9 @@ SWEEP_BYTES_PER_POINT = 160
 
 
 def test_verify_grid_sweep_peak_per_point():
-    # also bounded by the positive-grid constant, which is set by the ladder
     verify.grid_sweep(1e-2)
     peak = traced_peak(lambda: verify.grid_sweep(1e-3))
     assert peak <= SWEEP_BYTES_PER_POINT * grid_points(1e-3)
-    assert peak <= gridops._POSITIVE_GRID_BYTES_PER_POINT * grid_points(1e-3)
 
 
 def test_positive_grid_constant_bounds_the_ladder_diagnostic():
