@@ -28,9 +28,7 @@ the scalar functions, and with them ``spectrum``, ``refdata`` and the
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import operator
 
 from .errors import DomainError, PoleError
 
@@ -140,7 +138,7 @@ def log_gamma(z: complex) -> complex:
     return _LOG_SQRT_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(series)
 
 
-def laguerre_rows(n_max: int, a: complex, z, out=None):
+def laguerre_rows(n_max: int, a: complex, z):
     """Iterator over the generalized Laguerre values L_0^a(z) .. L_nmax^a(z).
 
     The upward three-term recurrence, complex order and argument, keeping
@@ -148,11 +146,6 @@ def laguerre_rows(n_max: int, a: complex, z, out=None):
     row has its shape.  The recurrence reads the rows it yielded, so a
     caller must not modify them in place.  A negative order raises here,
     at the call, not when the first row is asked for.
-
-    ``out``, for an ndarray ``z``, is three complex arrays of z's shape
-    (say a (3,) + shape(z) array) that every row is computed in, with no
-    other array allocated; a yielded row is then overwritten when the row
-    two after it is asked for.  Each value has the same bits as without.
     """
     import numpy as np
 
@@ -160,35 +153,21 @@ def laguerre_rows(n_max: int, a: complex, z, out=None):
         raise DomainError("laguerre order must be non-negative")
     z = np.asarray(z, dtype=complex)
     # a 0-d z recurs on Python complex, which skips numpy's scalar overhead
-    return _laguerre_recurrence(n_max, a, complex(z) if z.ndim == 0 else z, out)
+    z, one = (complex(z), 1.0 + 0.0j) if z.ndim == 0 else (z, np.ones(z.shape, dtype=complex))
+    return _laguerre_recurrence(n_max, a, z, one)
 
 
-def _laguerre_recurrence(n_max: int, a: complex, z, out):
-    # The one recurrence.  sub[s] and mul[s] compute into out[s] (numpy's
-    # ufuncs with out=); without ``out`` they are the operators, which give
-    # new arrays, or Python complex for a scalar z.  Either way each
-    # operation and its operand order are the same.
-    import numpy as np
-
-    if out is None:
-        sub, mul = (operator.sub,) * 3, (operator.mul,) * 3
-        prev = 1.0 + 0.0j if isinstance(z, complex) else np.ones(z.shape, dtype=complex)
-    else:
-        sub = [functools.partial(np.subtract, out=buf) for buf in out]
-        mul = [functools.partial(np.multiply, out=buf) for buf in out]
-        prev = out[0]
-        prev.fill(1.0)
+def _laguerre_recurrence(n_max: int, a: complex, z, prev):
+    # The one recurrence, from L_0 = ``prev``; each row is a new array, or a
+    # Python complex for a scalar z.
     yield prev
     if n_max == 0:
         return
-    row = sub[1](1.0 + a, z)
+    row = (1.0 + a) - z
     yield row
-    last, this, free = 0, 1, 2  # the slots of L_{n-1}, L_n and L_{n+1}
     for n in range(1, n_max):
-        lower = mul[last](n + a, prev)  # L_{n-1} is not read again
-        new = mul[free](sub[free](2 * n + 1 + a, z), row)
-        prev, row = row, mul[free](sub[free](new, lower), 1.0 / (n + 1))
-        last, this, free = this, free, last
+        # one expression, so no temporary outlives the step
+        prev, row = row, ((2 * n + 1 + a - z) * row - (n + a) * prev) * (1.0 / (n + 1))
         yield row
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .complexfn import laguerre_rows, log_gamma, principal_log
 from .errors import DegenerateError, DomainError
-from .gridops import positive_grid, z3_values
+from .gridops import positive_grid, second_derivative_4th, z3_values
 from .model import AlphaLike, bargmann_index, sigma_index
 
 __all__ = [
@@ -92,21 +92,17 @@ def radial_envelope(alpha: AlphaLike, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigenfunction_rows(n_max: int, alpha: AlphaLike, r, out=None):
+def eigenfunction_rows(n_max: int, alpha: AlphaLike, r):
     """Iterator over F_0(r) .. F_nmax(r) on one ndarray ``r`` (real or complex).
 
     One ``radial_envelope`` and one Laguerre recurrence pass serve every n;
-    only the last two Laguerre rows are kept, never the whole table.  With
-    ``out``, a complex (4,) + shape(r) array, every F_n is computed in
-    out[0] and the Laguerre rows in out[1:], so each yielded row is
-    overwritten by the next.
+    only the last two Laguerre rows are kept, never the whole table.
     """
     r_arr = np.asarray(r, dtype=complex)
     # the envelope first, so its phase array is freed before 1j * r exists
     envelope = radial_envelope(alpha, r_arr)
-    lag_out, f_out = (None, None) if out is None else (out[1:], out[0])
-    lag_rows = laguerre_rows(n_max, 2.0 * sigma_index(alpha), 1j * r_arr, lag_out)
-    return (np.multiply(envelope, lag, out=f_out) for lag in lag_rows)
+    lag_rows = laguerre_rows(n_max, 2.0 * sigma_index(alpha), 1j * r_arr)
+    return (envelope * lag for lag in lag_rows)
 
 
 def eigenfunction_r(n: int, alpha: AlphaLike, r):
@@ -133,37 +129,33 @@ def eigenfunction_x(n: int, alpha: AlphaLike, lambda_scale: complex, x):
     return normalization(n, alpha, lam) * eigenfunction_r(n, alpha, lam * x_arr**2)
 
 
-def ode_residual(
-    n: int,
-    alpha: AlphaLike,
-    r_min: float = 0.1,
-    r_max: float = 20.0,
-    h: float = 1e-3,
-) -> float:
+def ode_residual(n: int, alpha: AlphaLike, r_min: float = 0.1, r_max: float = 20.0,
+                 h: float = 1e-3) -> float:
     """Max relative residual of the reduced radial equation on a grid.
 
-    Checks  -r^2 F'' - i(k+n) r F - (1/4) r^2 F = (alpha/2 + 3/16) F  with a
-    4th-order central second difference; the two samples nearest each edge
+    Checks  -r^2 F'' - i(k+n) r F - (1/4) r^2 F = (alpha/2 + 3/16) F  with
+    F'' from the 4th-order stencil; the two samples nearest each edge
     (where a central stencil does not exist) are dropped.  Returns
     max |lhs - rhs| / max |F| over the interior.
     """
     if r_min <= 0:
         raise DomainError("grid must exclude r = 0")
     r = positive_grid(r_min, r_max, h)
-    return row_residuals(n, alpha, r, h, eigenfunction_r(n, alpha, r))[1]
+    f = eigenfunction_r(n, alpha, r)
+    return row_residuals(n, alpha, r, f, second_derivative_4th(f, h))[1]
 
 
-def row_residuals(
-    n: int, alpha: AlphaLike, r: np.ndarray, h: float, f: np.ndarray
-) -> Tuple[float, float]:
-    """(Z3, ODE) residuals of given samples ``f`` of F_n on the positive grid ``r`` (spacing h).
+def row_residuals(n: int, alpha: AlphaLike, r: np.ndarray, f: np.ndarray,
+                  d2: np.ndarray) -> Tuple[float, float]:
+    """(Z3, ODE) residuals of samples ``f`` of F_n at the real points ``r``, given
+    F_n'' there (``d2``, the stencil's or the exact one; overwritten).
 
     With res = Z3 F - (k+n) F, the Z3 eigenvalue residual is
     max |res| / max |F|.  The reduced equation's residual is i r times res,
     so ``ode_residual`` is max |r res| / max |F| with the two samples nearest
     each edge dropped.  The operator is written once, in ``z3_values``.
     """
-    res = z3_values(f, r, h, alpha)
+    res = z3_values(f, r, d2, alpha)
     res -= (bargmann_index(alpha) + n) * f
     scale = np.max(np.abs(f))
     z3 = float(np.max(np.abs(res)) / scale)

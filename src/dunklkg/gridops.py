@@ -40,8 +40,8 @@ POSITIVE = "positive"
 _UNIFORM_TOL = 1e-12
 _MIN_POINTS = 9
 # peak bytes per point of the heaviest positive-grid user, the ladder
-# diagnostics on F_0 .. F_3 (184 measured with tracemalloc; a verify grid
-# sweep peaks at 151 at h = 1e-3), with a 17 % margin
+# diagnostics on F_0 .. F_3 (168 measured with tracemalloc; a stencil sweep
+# of verify peaks at 135), with a 29 % margin
 _POSITIVE_GRID_BYTES_PER_POINT = 216
 
 
@@ -104,7 +104,8 @@ def positive_grid(r_min: float, r_max: float, h: float) -> np.ndarray:
     # a spacing so fine that the count overflows needs more than any memory
     n = round(span) if math.isfinite(span) else math.inf
     require_memory(n + 1, _POSITIVE_GRID_BYTES_PER_POINT)
-    return r_min + h * np.arange(n + 1)
+    with np.errstate(invalid="ignore"):  # h = inf gives [nan], one point, refused later
+        return r_min + h * np.arange(n + 1)
 
 
 def _physical_memory() -> int:
@@ -191,18 +192,17 @@ def dunkl_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     return gf.with_values(out)
 
 
-def z3_values(values: np.ndarray, r: np.ndarray, h: float, alpha: AlphaLike) -> np.ndarray:
+def z3_values(values: np.ndarray, r: np.ndarray, d2: np.ndarray, alpha: AlphaLike) -> np.ndarray:
     """Compact generator Z3 f = i [ r f'' + (alpha/2 + 3/16) f / r + r f / 4 ].
 
-    ``values`` are samples on the positive grid ``r`` of spacing ``h``; the
-    grid is not checked here (a GridFunction checks it once when built).
-    The sum is formed term by term in the second derivative's array; f / r
-    is f times 1 / r, which is how numpy divides a complex by a real, so the
-    bits are those of the plain formula.
+    ``values`` are samples of f at the real points ``r`` and ``d2`` are its
+    f'' there: the 4th-order stencil's (``z3_apply``) or an exact one.  The
+    sum is formed term by term in ``d2``'s array, which is returned; f / r
+    is f times 1 / r, which is how numpy divides a complex by a real, so
+    the bits are those of the plain formula.
     """
     c = radial_coupling(alpha)
-    z3 = second_derivative_4th(values, h)
-    np.multiply(r, z3, out=z3)
+    z3 = np.multiply(r, d2, out=d2)
     term = np.multiply(c, values)
     term *= 1.0 / r
     z3 += term
@@ -211,9 +211,10 @@ def z3_values(values: np.ndarray, r: np.ndarray, h: float, alpha: AlphaLike) -> 
 
 
 def z3_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
-    """``z3_values`` of a positive-grid function."""
+    """``z3_values`` of a positive-grid function, with the stencil's f''."""
     _require(gf, POSITIVE, "z3_apply")
-    return gf.with_values(z3_values(gf.values, gf.points, gf.h, alpha))
+    d2 = second_derivative_4th(gf.values, gf.h)
+    return gf.with_values(z3_values(gf.values, gf.points, d2, alpha))
 
 
 def ladder_apply(sign: int, gf: GridFunction, alpha: AlphaLike) -> GridFunction:

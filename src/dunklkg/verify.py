@@ -20,23 +20,18 @@ only how the stencils compose: that round-off floor rises about 8x per
 halving of h.
 
 Each assertable record also carries the inputs that fix what it measured:
-the grid spacing ``h`` of the residual bounds, ``h_coarse``/``h_fine`` of
-the convergence checks, and ``seed``/``samples`` of the random-sample
-checks.
+``samples`` of the exact residuals, ``h_coarse``/``h_fine`` of the
+convergence checks, and ``seed``/``samples`` of the random-sample checks.
 
-Convergence-order checks compare a grid spacing h against h/2 in the
-regime where the 4th-order truncation term still dominates the
-double-precision round-off floor of the second-difference stencil
-(relative to sup|F|, about eps r^2 / h^2 for the Z3 residual and
-eps r^3 / h^2 for the ODE residual).  Requested spacings are
-clamped up to documented minima for those checks only; the residual-bound
-checks always run at the requested spacing.
-
-The four grid checks read one sweep per spacing.  ``grid_sweep`` forms each
-eigenfunction row's residual Z3 F_n - (k+n) F_n once, which gives both the
-Z3 residual and the ODE residual (r times it), and ``run_verification``
-computes each spacing's sweep once per call: a default run sweeps the four
-grids h = 1e-3, 0.002, 0.004 and 0.008.
+The residual bounds ``ode_residual`` and ``z3_eigenvalue`` are exact
+(``exact_sweep``), so they read round-off, not a stencil floor.  The
+convergence checks compare the stencil's residuals (``grid_sweep``) at a
+spacing h against h/2 where the 4th-order truncation term still dominates
+the round-off floor of the second difference (relative to sup|F|, about
+eps r^2 / h^2 for the Z3 residual and eps r^3 / h^2 for the ODE residual,
+r times it).  ``grid_h`` is their fine spacing, clamped up to ODE_CONV_H and
+Z3_CONV_H, so no run builds a grid finer than 0.002.  Each sweep runs once
+per ``run_verification`` call: a default run sweeps h = 0.002, 0.004, 0.008.
 
 Importing this module loads no numpy: each check that computes on arrays
 imports numpy and the array modules (``coherent``, ``eigenfunctions``,
@@ -58,10 +53,10 @@ from .model import CurvatureCase, bargmann_index, radial_coupling, sigma_index
 from .refdata import compare_reference
 from .spectrum import energy_shifts, relation_rhs, self_consistency_residual
 
-__all__ = ["grid_sweep", "run_verification", "report_to_json"]
+__all__ = ["exact_sweep", "grid_sweep", "run_verification", "report_to_json"]
 
 SWEEP_ALPHAS = (Fraction(1, 2), Fraction(3, 2), Fraction(7, 2))
-SWEEP_N = range(6)  # from 0 and contiguous: the grid sweeps enumerate one F_n stream
+SWEEP_N = range(6)  # from 0 and contiguous: the sweeps enumerate one F_n stream
 SERIES_XIS = (0.3 + 0.0j, 0.5 + 0.2j, 0.1 - 0.6j)
 # coherent-state checks run on the gaussian spectrum at R = 1
 GAUSSIAN = CurvatureCase.GAUSSIAN
@@ -72,6 +67,8 @@ R_MIN, R_MAX = 0.1, 20.0
 SERIES_X = (0.01, 1.2, 120)
 DENSITY_X = (0.01, 2.0, 400)
 
+# samples of the exact residuals, linspace(R_MIN, R_MAX, EXACT_SAMPLES)
+EXACT_SAMPLES = 200
 # spacing of the su(1,1) ladder diagnostics
 DIAGNOSTIC_H = 0.002
 # minimum spacings for the h -> h/2 convergence diagnostics (see module doc)
@@ -147,23 +144,51 @@ def check_self_consistency() -> Dict:
 
 def grid_sweep(h: float) -> Tuple[float, float]:
     """Worst (Z3, ODE) ``row_residuals`` of the alpha x n sweep on the standard grid
-    of spacing h; one F_n stream per alpha, one residual per row."""
-    import numpy as np
-
+    of spacing h, with the stencil's F_n''; one F_n stream per alpha."""
     from .eigenfunctions import eigenfunction_rows, row_residuals
+    from .gridops import second_derivative_4th
 
     r = _checked_grid(R_MIN, R_MAX, h).points
-    work = np.empty((4, r.size), dtype=complex)  # F_n and its three Laguerre rows
     z3, ode = zip(*(
-        row_residuals(n, alpha, r, h, f)
+        row_residuals(n, alpha, r, f, second_derivative_4th(f, h))
         for alpha in SWEEP_ALPHAS
-        for n, f in enumerate(eigenfunction_rows(max(SWEEP_N), alpha, r, work))
+        for n, f in enumerate(eigenfunction_rows(max(SWEEP_N), alpha, r))
     ))
     return max(z3), max(ode)
 
 
-# The grid checks take a ``sweep``: grid_sweep, or (in run_verification) a
-# cache of it that computes each spacing once.  _Z3, _ODE index its result.
+def exact_sweep() -> Tuple[float, float]:
+    """Worst (Z3, ODE) ``row_residuals`` of the alpha x n sweep at EXACT_SAMPLES
+    points of [R_MIN, R_MAX], with the exact F_n''.
+
+    F_n = g L_n^(a)(ir), g = r^(sigma+1/2) e^(-ir/2), a = 2 sigma.  As
+    d/dz L_n^(a) = -L_{n-1}^(a+1) (DLMF 18.9.23), with L_{-1} = L_{-2} = 0,
+    F_n'' = g [(g''/g) L_n^(a) - 2i (g'/g) L_{n-1}^(a+1) - L_{n-2}^(a+2)], where
+    g'/g = (sigma+1/2)/r - i/2 and g''/g = (g'/g)^2 - (sigma+1/2)/r^2.
+    """
+    import numpy as np
+
+    from .eigenfunctions import radial_envelope, row_residuals
+
+    r, n_max = np.linspace(R_MIN, R_MAX, EXACT_SAMPLES), max(SWEEP_N)
+    rows = []
+    for alpha in SWEEP_ALPHAS:
+        sig = sigma_index(alpha)
+        g = radial_envelope(alpha, r + 0j)
+        d1 = (sig + 0.5) / r - 0.5j
+        d2 = d1 * d1 - (sig + 0.5) / (r * r)
+        # lag[j][n] is L_{n-j}^(a+j)(ir)
+        lag = [[0.0] * j + list(complexfn.laguerre_rows(n_max - j, 2.0 * sig + j, 1j * r))
+               for j in range(3)]
+        for n in SWEEP_N:
+            f2 = g * (d2 * lag[0][n] - 2j * d1 * lag[1][n] - lag[2][n])
+            rows.append(row_residuals(n, alpha, r, g * lag[0][n], f2))
+    z3, ode = zip(*rows)
+    return max(z3), max(ode)
+
+
+# The residual checks take a ``sweep``: grid_sweep or exact_sweep, or (in
+# run_verification) a cache of it.  _Z3, _ODE index its result.
 _Z3, _ODE = 0, 1
 
 
@@ -174,16 +199,16 @@ def _residual_convergence(name: str, sweep: Callable, field: int, h: float, h_mi
     return _check(name, ratio, 8.0, "min", h_coarse=2.0 * h_fine, h_fine=h_fine)
 
 
-def check_ode_residual(sweep: Callable, h: float) -> Dict:
-    return _check("ode_residual", sweep(h)[_ODE], 1e-5, h=h)
+def check_ode_residual(sweep: Callable) -> Dict:
+    return _check("ode_residual", sweep()[_ODE], 1e-12, samples=EXACT_SAMPLES)
 
 
 def check_ode_convergence(sweep: Callable, h: float) -> Dict:
     return _residual_convergence("ode_convergence", sweep, _ODE, h, ODE_CONV_H)
 
 
-def check_z3_eigenvalue(sweep: Callable, h: float) -> Dict:
-    return _check("z3_eigenvalue", sweep(h)[_Z3], 1e-4, h=h)
+def check_z3_eigenvalue(sweep: Callable) -> Dict:
+    return _check("z3_eigenvalue", sweep()[_Z3], 1e-13, samples=EXACT_SAMPLES)
 
 
 def check_z3_convergence(sweep: Callable, h: float) -> Dict:
@@ -427,21 +452,22 @@ def run_verification(grid_h: float = 1e-3, suite: Optional[str] = None) -> Dict:
     """Run checks (optionally filtered by name substring) and assemble the report.
 
     The filter matches against check names before execution, so a narrow
-    suite runs quickly.
+    suite runs quickly.  ``grid_h`` is the fine spacing of the convergence
+    checks, which clamp it up to ODE_CONV_H and Z3_CONV_H.
     """
     if not (0.0 < grid_h < math.inf):
         raise DomainError(f"grid_h must be positive and finite, got {grid_h}")
-    # the four grid checks share each spacing's sweep, within this call only
-    sweep = functools.cache(grid_sweep)
+    # the four residual checks share each sweep, within this call only
+    sweep, exact = functools.cache(grid_sweep), functools.cache(exact_sweep)
     check_builders: List[tuple] = [
         ("casimir_identity", check_casimir_identity),
         ("sigma_identity", check_sigma_identity),
         ("table1_reproduction", lambda: check_table("table1")),
         ("table2_reproduction", lambda: check_table("table2")),
         ("self_consistency", check_self_consistency),
-        ("ode_residual", lambda: check_ode_residual(sweep, grid_h)),
+        ("ode_residual", lambda: check_ode_residual(exact)),
         ("ode_convergence", lambda: check_ode_convergence(sweep, grid_h)),
-        ("z3_eigenvalue", lambda: check_z3_eigenvalue(sweep, grid_h)),
+        ("z3_eigenvalue", lambda: check_z3_eigenvalue(exact)),
         ("z3_convergence", lambda: check_z3_convergence(sweep, grid_h)),
         ("coherent_series_agreement", check_series_agreement),
         ("xi_zero_reduction", check_xi_zero_reduction),

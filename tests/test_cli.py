@@ -422,17 +422,13 @@ def test_bad_input_exits_2_with_one_line_message(runner, args):
     assert res.stderr.rstrip("\n").endswith(errors[0])
 
 
-# The grids (1e15, 2e14 and 2e301 points, and a count that overflows to inf
-# at the least subnormal spacing) exceed physical memory, and any address
-# space, so the size estimate refuses them before anything is allocated.  A
-# count past 15 digits is printed to 3 significant digits, so the line stays short.
+# The grid (1e15 points) exceeds physical memory, and any address space, so
+# the size estimate refuses it before anything is allocated.  A count past
+# 15 digits is printed to 3 significant digits, so the line stays short.
 @pytest.mark.parametrize(
     "args",
     [
         ["density", "--alpha", "1/2", "--xi", "0.3", "--points", "1000000000000000"],
-        ["verify", "--suite", "ode_residual", "--grid-h", "1e-13"],
-        ["verify", "--suite", "z3_eigenvalue", "--grid-h", "5e-324"],
-        ["verify", "--suite", "z3_eigenvalue", "--grid-h", "1e-300"],
     ],
     ids=lambda args: " ".join(args),
 )
@@ -587,12 +583,13 @@ def test_unusable_density_window_gives_one_line_and_no_warning(runner, window, c
     "args",
     [
         ["density", "--alpha", "1/2", "--xi", "0.3", "--points", "100000"],
-        ["verify", "--suite", "z3_eigenvalue"],
+        ["verify", "--suite", "z3_convergence"],
     ],
     ids=lambda args: " ".join(args),
 )
 def test_grid_larger_than_physical_memory_exits_1(runner, monkeypatch, args):
     # a 1 MiB machine: both grids fit the address space but not the memory
+    # (the convergence check's finest grid, h = 0.002, is 9951 points x 216 B)
     monkeypatch.setattr(gridops, "_physical_memory", lambda: 2**20)
     res = runner.invoke(cli, args)
     assert res.exit_code == 1
@@ -753,6 +750,18 @@ def test_verify_unknown_suite(runner):
     for suite in ("nonexistent", "commutator"):
         res = runner.invoke(cli, ["verify", "--suite", suite])
         assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("grid_h", ["1e-4", "1e-13", "5e-324"])
+def test_verify_at_a_fine_spacing_passes_with_the_default_records(runner, grid_h):
+    # the convergence checks clamp the spacing, and no other check reads it
+    default = invoke(runner, ["verify"]).output.splitlines()
+    res = invoke(runner, ["verify", "--grid-h", grid_h])
+    assert res.exit_code == 0
+    fine = res.output.splitlines()
+    changed = [(a, b) for a, b in zip(default, fine) if a != b]
+    assert len(fine) == len(default)
+    assert changed == [('  "grid_h": 0.001,', f'  "grid_h": {float(grid_h)!r},')]
 
 
 def test_verify_output_to_file(runner, tmp_path):

@@ -223,13 +223,3 @@ def test_laguerre_sequence_equals_the_divided_recurrence_bitwise(a):
         assert np.array_equal(
             bits(laguerre_sequence(31, a, zi)), bits(divided_recurrence(31, a, zi))
         )
-
-
-def test_laguerre_rows_in_buffers_equal_new_rows_bitwise():
-    rng = np.random.default_rng(7)
-    z = rng.uniform(-10, 10, 1001) + 1j * rng.uniform(-10, 10, 1001)
-    out = np.empty((3,) + z.shape, dtype=complex)
-    fresh = laguerre_rows(12, -0.3 + 0.8j, z)
-    for row, want in zip(laguerre_rows(12, -0.3 + 0.8j, z, out), fresh):
-        assert any(np.shares_memory(row, buf) for buf in out)
-        assert np.array_equal(bits(row), bits(want))

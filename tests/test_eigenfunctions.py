@@ -22,6 +22,7 @@ from dunklkg import (
     ode_residual,
     positive_grid,
     scale_factor,
+    second_derivative_4th,
     sigma_index,
 )
 from dunklkg.eigenfunctions import radial_envelope, row_residuals
@@ -176,7 +177,8 @@ def test_ode_residual_rejects_non_eigenfunction():
     # F_0 put through the n = 1 equation, whose eigenvalue is k + 1, not k
     alpha, h = Fraction(1, 2), 1e-3
     r = positive_grid(0.1, 20.0, h)
-    assert row_residuals(1, alpha, r, h, eigenfunction_r(0, alpha, r))[1] > 1e-2
+    f = eigenfunction_r(0, alpha, r)
+    assert row_residuals(1, alpha, r, f, second_derivative_4th(f, h))[1] > 1e-2
 
 
 def test_ode_fourth_order_convergence():

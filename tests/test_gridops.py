@@ -49,6 +49,15 @@ def test_positive_grid_refuses_more_than_physical_memory(monkeypatch):
         positive_grid(0.1, 20.0, 1e-3)
 
 
+@pytest.mark.parametrize("h", [1e-13, 1e-300, 5e-324])
+def test_positive_grid_refuses_an_unallocatable_spacing(h):
+    # 2e14 and 2e301 points, and a count that overflows to inf, exceed any
+    # memory; a count past 15 digits is printed to 3 significant digits
+    with pytest.raises(MemoryError, match=r"^Unable to allocate about .* points; ") as err:
+        positive_grid(0.1, 20.0, h)
+    assert len(str(err.value)) <= 110
+
+
 def test_symmetric_grid_structure():
     pts = symmetric_grid(0.1, 20)
     assert pts.size == 40
@@ -121,7 +130,8 @@ def test_z3_values_equal_the_divided_formula_bitwise(alpha):
     f = eigenfunction_r(3, alpha, r)
     c = radial_coupling(alpha)
     want = 1j * (r * second_derivative_4th(f, h) + c * f / r + 0.25 * r * f)
-    assert np.array_equal(gridops.z3_values(f, r, h, alpha).view(np.uint64), want.view(np.uint64))
+    got = gridops.z3_values(f, r, second_derivative_4th(f, h), alpha)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_dunkl_richardson_ratio_on_sine():
@@ -192,7 +202,8 @@ def test_z3_on_constant():
 def z3_eigenvalue_residual(n, alpha, h):
     """sup |Z3 F_n - (k+n) F_n| / sup |F_n| on the standard grid [0.1, 20]."""
     r = positive_grid(0.1, 20.0, h)
-    return row_residuals(n, alpha, r, h, eigenfunction_r(n, alpha, r))[0]
+    f = eigenfunction_r(n, alpha, r)
+    return row_residuals(n, alpha, r, f, second_derivative_4th(f, h))[0]
 
 
 def test_z3_eigenvalue_relation():

@@ -78,9 +78,9 @@ def test_positive_grid_constant_bounds_a_verify_grid_sweep():
     assert peak <= gridops._POSITIVE_GRID_BYTES_PER_POINT * grid_points(1e-3)
 
 
-# The h = 1e-3 sweep peaks at 151 B/point with the envelope built in place
-# (186 when it was scattered from masked copies of r), and it sets the peak
-# of a whole verify run.
+# A stencil sweep at h = 1e-3 peaks at 135 B/point while z3_values sums in its
+# second-derivative array (151 with r F'' as a new array).  verify itself
+# sweeps no grid finer than 0.002, so this bounds the stencil path alone.
 SWEEP_BYTES_PER_POINT = 160
 
 
@@ -93,6 +93,14 @@ def test_verify_grid_sweep_peak_per_point():
 def test_positive_grid_constant_bounds_the_ladder_diagnostic():
     verify.diagnostics_ladder()
     peak = traced_peak(verify.diagnostics_ladder)
+    assert peak <= gridops._POSITIVE_GRID_BYTES_PER_POINT * grid_points(verify.DIAGNOSTIC_H)
+
+
+def test_positive_grid_constant_bounds_a_whole_verify_run():
+    # the ladder diagnostic at h = 0.002 sets the peak (1.6 MiB); the exact
+    # residuals take no grid, and the stencil sweeps none finer than 0.002
+    verify.run_verification()
+    peak = traced_peak(verify.run_verification)
     assert peak <= gridops._POSITIVE_GRID_BYTES_PER_POINT * grid_points(verify.DIAGNOSTIC_H)
 
 

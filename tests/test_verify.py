@@ -3,10 +3,10 @@ per-sample definitions, and verify's BLAS-free series against its BLAS form.
 
 The sweeps stream F_0 .. F_5 once per (alpha, grid) and the random checks
 draw all their samples in one ``rng.uniform`` call; both must give exactly
-(``==``) the records that the public per-n residual functions and one
-``rng.uniform`` call per real or imaginary part give.  Each grid is swept
-once per ``run_verification`` call and never shared between calls, so two
-calls give equal reports.
+(``==``) the records that per-n residuals and one ``rng.uniform`` call per
+real or imaginary part give.  The exact residuals' F_n'' is held to the
+stencil's as h -> 0.  Each sweep runs once per ``run_verification`` call
+and is never shared between calls, so two calls give equal reports.
 
 The Perelomov series sums in plain numpy, with no BLAS call, because BLAS
 worker threads keep spinning after each call and bill verify about twice
@@ -51,6 +51,7 @@ from dunklkg import (
     normalization,
     ode_residual,
     positive_grid,
+    second_derivative_4th,
     sigma_index,
     suggested_series_terms,
     verify,
@@ -60,10 +61,11 @@ from dunklkg.errors import DunklKGError
 
 
 def z3_eigenvalue_residual(n, alpha, r_min, r_max, h):
-    """sup |Z3 F_n - (k+n) F_n| / sup |F_n| on the positive grid, the Z3
-    counterpart of ``ode_residual``."""
+    """sup |Z3 F_n - (k+n) F_n| / sup |F_n| on the positive grid, with the
+    stencil's F_n'': the Z3 counterpart of ``ode_residual``."""
     r = positive_grid(r_min, r_max, h)
-    return row_residuals(n, alpha, r, h, eigenfunction_r(n, alpha, r))[0]
+    f = eigenfunction_r(n, alpha, r)
+    return row_residuals(n, alpha, r, f, second_derivative_4th(f, h))[0]
 
 
 def sweep_max(residual, h):
@@ -74,13 +76,49 @@ def sweep_max(residual, h):
     )
 
 
+def exact_rows(n, alpha, r):
+    """F_n and its exact F_n'' at the real points r, one n at a time: the
+    derivatives of L_n^(a)(ir) are L_{n-1}^(a+1) and L_{n-2}^(a+2) (DLMF
+    18.9.23), each read out of its own ``laguerre_sequence`` table."""
+    sig = sigma_index(alpha)
+
+    def lag(m, j):  # L_m^(a+j)(ir), and 0 below m = 0
+        return complexfn.laguerre_sequence(m, 2.0 * sig + j, 1j * r)[m] if m >= 0 else 0.0
+
+    g = radial_envelope(alpha, r + 0j)
+    d1 = (sig + 0.5) / r - 0.5j  # g'/g
+    d2 = d1 * d1 - (sig + 0.5) / (r * r)  # g''/g
+    return g * lag(n, 0), g * (d2 * lag(n, 0) - 2j * d1 * lag(n - 1, 1) - lag(n - 2, 2))
+
+
+def test_exact_second_derivative_is_the_stencils_limit():
+    # the stencil's F_n'' approaches the exact one at 4th order (about 14x per
+    # halving of h; 7.5e-7 of sup |F_n''| at h = 1e-3)
+    def worst(h):
+        r = positive_grid(verify.R_MIN, verify.R_MAX, h)
+        out = 0.0
+        for alpha in verify.SWEEP_ALPHAS:
+            for n in verify.SWEEP_N:
+                f, f2 = exact_rows(n, alpha, r)
+                assert np.array_equal(f, eigenfunction_r(n, alpha, r))
+                out = max(out, np.max(np.abs(second_derivative_4th(f, h) - f2)) / np.max(np.abs(f2)))
+        return out
+
+    fine = worst(1e-3)
+    assert fine <= 1e-6 and worst(2e-3) / fine >= 8.0
+
+
 def test_residual_bounds_equal_the_per_n_maxima():
-    for check, residual in (
-        (verify.check_ode_residual, ode_residual),
-        (verify.check_z3_eigenvalue, z3_eigenvalue_residual),
-    ):
-        record = check(verify.grid_sweep, 1e-3)
-        assert record["measured"] == sweep_max(residual, record["h"])
+    r = np.linspace(verify.R_MIN, verify.R_MAX, verify.EXACT_SAMPLES)
+    per_n = [
+        row_residuals(n, alpha, r, *exact_rows(n, alpha, r))
+        for alpha in verify.SWEEP_ALPHAS
+        for n in verify.SWEEP_N
+    ]
+    for check, field in ((verify.check_z3_eigenvalue, 0), (verify.check_ode_residual, 1)):
+        record = check(verify.exact_sweep)
+        assert record["samples"] == r.size
+        assert record["measured"] == max(res[field] for res in per_n)
 
 
 def test_convergence_ratios_equal_the_per_n_ratios():
@@ -101,22 +139,27 @@ def test_each_spacing_is_swept_once_per_run(monkeypatch):
         swept.append(h)
         return original(h)
 
-    original = verify.grid_sweep
+    def counting_exact():
+        swept.append("exact")
+        return original_exact()
+
+    original, original_exact = verify.grid_sweep, verify.exact_sweep
     monkeypatch.setattr(verify, "grid_sweep", counting)
+    monkeypatch.setattr(verify, "exact_sweep", counting_exact)
     verify.run_verification()
-    assert sorted(swept) == [1e-3, 0.002, 0.004, 0.008]
+    assert sorted(swept, key=str) == [0.002, 0.004, 0.008, "exact"]
     verify.run_verification()  # a new run computes its sweeps again
     assert len(swept) == 8
     swept.clear()
-    verify.run_verification(grid_h=0.002)  # z3_eigenvalue and z3_convergence share h = 0.002
-    assert sorted(swept) == [0.002, 0.004, 0.008]
+    verify.run_verification(grid_h=1e-4)  # clamped to the same spacings
+    assert sorted(swept, key=str) == [0.002, 0.004, 0.008, "exact"]
     swept.clear()
     verify.run_verification(suite="ode_residual")
-    assert swept == [1e-3]
+    assert swept == ["exact"]
 
 
 def test_consecutive_runs_give_equal_reports():
-    # the sweeps' work buffers carry nothing into the next run
+    # the sweeps' caches carry nothing into the next run
     first = verify.report_to_json(verify.run_verification())
     assert verify.report_to_json(verify.run_verification()) == first
 
@@ -146,23 +189,23 @@ def test_a_suite_filter_changes_no_record():
 
 
 # Any float spacing: st.floats() draws nan, +-inf, 0, negatives, subnormals and
-# 1e308.  Spacings in [1e-12, 1e-3) are left out: they allocate sweeps of 20k
-# to 2e13 points, limited only by physical memory.  Below 1e-12 a sweep would
-# need petabytes, so the memory estimate refuses it before any allocation.
-# Above about 0.4 the grid has too few points; (1e-3, 0.1) gives reports.
+# 1e308.  No spacing builds a grid finer than the convergence checks' clamps
+# (0.002), so [1e-12, 1e-3) gives the default's records; above about 0.4 the
+# grid has too few points, and (1e-3, 0.1) gives reports.
 GRID_H = st.one_of(
-    st.floats().filter(lambda h: not 1e-12 <= h < 1e-3),
+    st.floats(),
     st.sampled_from([5e-324, 1e-300, 1e308]),
+    st.floats(1e-12, 1e-3, exclude_max=True),
     st.floats(1e-3, 1e3),
     st.floats(1e-3, 0.1),
 )
 
 
 def z3_report_or_error(grid_h):
-    """The z3_eigenvalue report as JSON text, or the type and message of the
+    """The z3 suite's report as JSON text, or the type and message of the
     error that the CLI turns into exit 1 or 2."""
     try:
-        return verify.report_to_json(verify.run_verification(grid_h=grid_h, suite="z3_eigenvalue"))
+        return verify.report_to_json(verify.run_verification(grid_h=grid_h, suite="z3"))
     except (DunklKGError, MemoryError, OverflowError) as exc:
         return type(exc), str(exc)
 
@@ -176,9 +219,11 @@ def test_any_grid_spacing_gives_a_report_or_an_error(grid_h):
         if first[0] is MemoryError:
             assert first[1].startswith("Unable to allocate about ")
         return
-    (record,) = json.loads(first)["checks"]
-    assert record["name"] == "z3_eigenvalue" and record["status"] in ("pass", "fail")
-    assert record["status"] == "fail" or math.isfinite(record["measured"])
+    records = json.loads(first)["checks"]
+    assert [rec["name"] for rec in records] == ["z3_eigenvalue", "z3_convergence"]
+    for record in records:
+        assert record["status"] in ("pass", "fail")
+        assert record["status"] == "fail" or math.isfinite(record["measured"])
 
 
 def per_sample_draws(record, low, high, per_sample=1):
@@ -326,7 +371,7 @@ def test_blas_allow_list_names_only_blas_users():
 
 # Checks and diagnostics whose records are the same whichever SIMD kernels
 # numpy dispatches: 18 of the report's 23 records.  The other 5, the four
-# grid checks and the series agreement, still move in their last digits
+# residual checks and the series agreement, still move in their last digits
 # without AVX2, through the complex products of the Laguerre recurrence and
 # the eigenfunction envelope.
 DISPATCH_INVARIANT = (
