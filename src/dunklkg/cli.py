@@ -282,7 +282,7 @@ def cmd_spectrum(case, alpha, n, R, m, format, output):
 def cmd_table(table_id, tol, format, output):
     """Regenerate a published reference table and diff it entrywise.
 
-    Exits 0 iff every component deviation is within --tol.
+    Exits 0 iff every component deviation is within --tol; a NaN entry exits 1.
     """
     cmp = compare_reference(table_id, tol)
     meta = {

@@ -7,14 +7,17 @@ the source prints 3 decimals: the rational-case alpha=1/2, n=0 minus entry
 computes to 0.98315+0.06754i against the printed 0.983+0.068i, and the
 worst deviation over both tables is 4.98e-4.
 
-Keys are (alpha numerator over 2, n); values are (E_plus, E_minus).
+Keys are (alpha numerator over 2, n); values are (E_plus, E_minus).  An
+entry's deviation and the table's ``max_deviation`` are each the worst of
+their samples (``worst``, as every ``verify`` record), so a NaN fails them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .errors import DomainError
 from .model import CurvatureCase
@@ -85,6 +88,18 @@ class TableComparison:
     entries: Tuple[dict, ...]
 
 
+def worst(values: Iterable[float]) -> float:
+    """The largest of ``values``, 0.0 for none, and NaN as soon as one is NaN
+    (``max`` keeps its running value against a NaN, and so would pass it)."""
+    out = 0.0
+    for value in values:
+        if value != value:
+            return math.nan
+        if value > out:
+            out = value
+    return out
+
+
 def compare_reference(table_id: str, tolerance: float = 1e-2) -> TableComparison:
     """Recompute a published table and diff it entrywise against the transcription."""
     if table_id not in TABLES:
@@ -93,14 +108,12 @@ def compare_reference(table_id: str, tolerance: float = 1e-2) -> TableComparison
         raise DomainError(f"tolerance must be >= 0, got {tolerance}")
     case, reference = TABLES[table_id]
     entries: List[dict] = []
-    max_dev = 0.0
     for (num, n) in sorted(reference):
         alpha = Fraction(num, 2)
         pair = energy_pair(case, n, alpha, REFERENCE_R, REFERENCE_M)
         for branch, computed in (("plus", pair.e_plus), ("minus", pair.e_minus)):
             ref = reference[(num, n)][0 if branch == "plus" else 1]
-            dev = max(abs(computed.real - ref.real), abs(computed.imag - ref.imag))
-            max_dev = max(max_dev, dev)
+            dev = worst((abs(computed.real - ref.real), abs(computed.imag - ref.imag)))
             entries.append(
                 {
                     "alpha": str(alpha),
@@ -113,6 +126,7 @@ def compare_reference(table_id: str, tolerance: float = 1e-2) -> TableComparison
                     "deviation": dev,
                 }
             )
+    max_dev = worst(entry["deviation"] for entry in entries)
     return TableComparison(
         table=table_id,
         case=case,

@@ -95,8 +95,8 @@ def test_criterion_03_casimir_identity():
 
 
 def test_criterion_04_self_consistency():
-    detail = pinned(verify.check_self_consistency(), 1e-8)
-    announce(4, "eigenvalue relation residual < 1e-8 on some branch for every (case, alpha, n),",
+    detail = pinned(verify.check_self_consistency(), 1e-13)
+    announce(4, "eigenvalue relation residual < 1e-13 on some branch for every (case, alpha, n),",
              detail=detail)
 
 

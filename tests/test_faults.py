@@ -5,15 +5,21 @@ here monkeypatches one constant or function with a small error and asserts
 that ``run_verification()`` then fails the named records, so a loosened
 bound or a check that stops reading the code it should shows up as a fault
 that passes.  Each fault is small against what the code computes: a
-relative error of 1e-9 to 1e-5, or a constant off by 1e-7.
+relative error of 1e-9 to 1e-5, or a constant off by 1e-7.  The NaN faults
+hold the rule that a record is the worst of its samples and a NaN sample
+fails it, which ``max`` does not keep: ``max(x, nan)`` is x.
 """
 
+import math
 import sys
+import types
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from dunklkg import coherent, eigenfunctions, gridops, model, spectrum, verify
+from dunklkg import coherent, complexfn, eigenfunctions, gridops, model, refdata, spectrum, verify
+from dunklkg.cli import cli
 from dunklkg.model import CurvatureCase
 
 
@@ -60,6 +66,33 @@ def rational_spectrum(monkeypatch):
     monkeypatch.setitem(spectrum._CASE_DISPATCH, CurvatureCase.RATIONAL, faulty)
 
 
+def gaussian_spectrum(monkeypatch):
+    # reads 2.8e-9 against the clean 8.9e-16
+    original = spectrum._CASE_DISPATCH[CurvatureCase.GAUSSIAN]
+
+    def faulty(n, alpha, R):
+        return tuple(shift * (1.0 + 1e-9) for shift in original(n, alpha, R))
+
+    monkeypatch.setitem(spectrum._CASE_DISPATCH, CurvatureCase.GAUSSIAN, faulty)
+
+
+def envelope_nan_at_3_2(monkeypatch):
+    # a third of every sweep's rows
+    original = eigenfunctions.radial_envelope
+
+    def faulty(alpha, r):
+        g = original(alpha, r)
+        return g * np.nan if alpha == 1.5 else g
+
+    monkeypatch.setattr(eigenfunctions, "radial_envelope", faulty)
+
+
+def sqrt_nan_far_right(monkeypatch):
+    original = complexfn.principal_sqrt
+    monkeypatch.setattr(complexfn, "principal_sqrt",
+                        lambda z: complex(math.nan, math.nan) if z.real > 45 else original(z))
+
+
 # (fault, the records it must fail)
 FAULTS = [
     (closed_form_lambda, {"xi_zero_reduction"}),
@@ -67,6 +100,9 @@ FAULTS = [
     (coupling_everywhere, {"casimir_identity", "ode_residual", "z3_eigenvalue"}),
     (coupling_in_z3, {"ode_residual", "z3_eigenvalue"}),
     (rational_spectrum, {"self_consistency"}),
+    (gaussian_spectrum, {"self_consistency"}),
+    (envelope_nan_at_3_2, {"ode_residual", "z3_eigenvalue", "ode_convergence", "z3_convergence"}),
+    (sqrt_nan_far_right, {"sqrt_square_roundtrip"}),
 ]
 
 
@@ -85,3 +121,28 @@ def test_seeded_fault_fails_verify(monkeypatch, fault, records):
     assert not report["passed"]
     assert records <= failed_records(report), failed_records(report)
 
+
+# the minus branch of table 1's alpha = 3/2 entries, wholly NaN or NaN only in
+# its imaginary part
+TABLE_NANS = {
+    "minus_nan": lambda e: complex(math.nan, math.nan),
+    "minus_imag_nan": lambda e: complex(e.real, math.nan),
+}
+
+
+@pytest.mark.parametrize("nan", TABLE_NANS.values(), ids=TABLE_NANS.keys())
+def test_nan_table_entry_fails_the_table(monkeypatch, nan):
+    original = refdata.energy_pair
+
+    def faulty(case, n, alpha, R, m):
+        pair = original(case, n, alpha, R, m)
+        if alpha != 1.5:
+            return pair
+        return types.SimpleNamespace(e_plus=pair.e_plus, e_minus=nan(pair.e_minus))
+
+    monkeypatch.setattr(refdata, "energy_pair", faulty)
+    cmp = refdata.compare_reference("table1")
+    assert not cmp.passed and math.isnan(cmp.max_deviation)
+    assert failed_records(verify.run_verification(suite="table1")) == {"table1_reproduction"}
+    result = CliRunner().invoke(cli, ["table", "--reproduce", "table1"])
+    assert result.exit_code == 1, result.output
