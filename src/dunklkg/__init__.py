@@ -31,7 +31,6 @@ _EXPORTS = {
     ), "eigenfunctions"),
     **dict.fromkeys((
         "DegenerateError", "DomainError", "DunklKGError", "GridError", "NormalizationError",
-        "PoleError",
     ), "errors"),
     **dict.fromkeys((
         "GridFunction", "derivative_4th", "dunkl_apply", "ladder_apply", "positive_grid",

@@ -38,6 +38,7 @@ from .complexfn import laguerre_rows, log_gamma, principal_log
 from .errors import DegenerateError, DomainError
 from .gridops import positive_grid, second_derivative_4th, z3_values
 from .model import AlphaLike, bargmann_index, sigma_index
+from .refdata import relative_sup
 
 __all__ = [
     "eigenfunction_r",
@@ -157,6 +158,5 @@ def row_residuals(n: int, alpha: AlphaLike, r: np.ndarray, f: np.ndarray,
     """
     res = z3_values(f, r, d2, alpha)
     res -= (bargmann_index(alpha) + n) * f
-    scale = np.max(np.abs(f))
-    z3 = float(np.max(np.abs(res)) / scale)
-    return z3, float(np.max(np.abs(np.multiply(r, res, out=res)[2:-2])) / scale)
+    # the Z3 residual is read before the ODE's overwrites res
+    return relative_sup(res, f), relative_sup(np.multiply(r, res, out=res)[2:-2], f)

@@ -5,10 +5,6 @@ class DunklKGError(Exception):
     """Base class for all library errors."""
 
 
-class PoleError(DunklKGError):
-    """Gamma function evaluated at (or too close to) a non-positive integer."""
-
-
 class DomainError(DunklKGError):
     """Argument outside the mathematical domain of an operation."""
 

@@ -10,6 +10,7 @@ worst deviation over both tables is 4.98e-4.
 Keys are (alpha numerator over 2, n); values are (E_plus, E_minus).  An
 entry's deviation and the table's ``max_deviation`` are each the worst of
 their samples (``worst``, as every ``verify`` record), so a NaN fails them.
+``relative_sup`` is the one relative sup deviation of the array records.
 """
 
 from __future__ import annotations
@@ -98,6 +99,14 @@ def worst(values: Iterable[float]) -> float:
         if value > out:
             out = value
     return out
+
+
+def relative_sup(residual, scale) -> float:
+    """sup |residual| / sup |scale| of two arrays: the relative sup deviation
+    max|a - b| / max|a| as ``relative_sup(a - b, a)``."""
+    import numpy as np
+
+    return float(np.max(np.abs(residual)) / np.max(np.abs(scale)))
 
 
 def compare_reference(table_id: str, tolerance: float = 1e-2) -> TableComparison:

@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import complexfn
 from .errors import DomainError
 from .model import CurvatureCase, bargmann_index, radial_coupling, sigma_index
-from .refdata import compare_reference, worst
+from .refdata import compare_reference, relative_sup, worst
 from .spectrum import energy_shifts, relation_rhs, self_consistency_residual
 
 __all__ = ["exact_sweep", "grid_sweep", "run_verification", "report_to_json"]
@@ -109,14 +109,6 @@ def _diagnostic(name: str, measured, **extra) -> Dict:
     out = {"name": name, "measured": measured, "tolerance": None, "status": "measured"}
     out.update(extra)
     return out
-
-
-def _rel(residual, scale) -> float:
-    """sup |residual| / sup |scale| of two arrays: the relative sup deviation
-    max|a - b| / max|a| as ``_rel(a - b, a)``."""
-    import numpy as np
-
-    return float(np.max(np.abs(residual)) / np.max(np.abs(scale)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +224,7 @@ def check_series_agreement() -> Dict:
         for xi in SERIES_XIS:
             params = CoherentParams.for_case(GAUSSIAN, alpha, 0, xi)
             closed = coherent_closed_form(x, params)
-            rels.append(_rel(closed - coherent_series(x, params), closed))
+            rels.append(relative_sup(closed - coherent_series(x, params), closed))
     return _check("coherent_series_agreement", worst(rels), 1e-6)
 
 
@@ -263,7 +255,7 @@ def check_tau_zero_reduction() -> Dict:
     for alpha in SWEEP_ALPHAS:
         params = CoherentParams.for_case(GAUSSIAN, alpha, 1, 0.5 + 0.2j, tau=0.0)
         closed = coherent_closed_form(x, params)
-        rels.append(_rel(closed - coherent_evolved(x, params), closed))
+        rels.append(relative_sup(closed - coherent_evolved(x, params), closed))
     return _check("tau_zero_reduction", worst(rels), 1e-15)
 
 
@@ -279,7 +271,7 @@ def check_tau_periodicity() -> Dict:
                               x_max=x_max, points=points, evolved=True).density
                 for tau in (tau0, tau0 + 2.0 * math.pi)
             )
-            rels.append(_rel(base - shifted, base))
+            rels.append(relative_sup(base - shifted, base))
     return _check("tau_periodicity", worst(rels), 1e-10)
 
 
@@ -310,17 +302,20 @@ def check_gamma_recurrence() -> Dict:
 
 
 def check_gamma_reflection() -> Dict:
+    """log Gamma(1/2 + it) + log Gamma(1/2 - it) = log pi - log cosh(pi t) (DLMF 5.4.4),
+    the reflection formula on the one line where ``log_gamma`` takes both factors;
+    relative to max(1, |rhs|), with log cosh x = x + log1p(e^(-2x)) - log 2, x >= 0."""
     import numpy as np
 
     seed, samples = 616263, 500
-    rng = np.random.default_rng(seed)
     rels = []
-    for _ in range(samples):
-        z = complex(rng.uniform(-5.0, 5.0), (-1, 1)[rng.integers(0, 2)] * rng.uniform(0.1, 10.0))
-        lhs = complexfn.gamma(z) * complexfn.gamma(1.0 - z)
-        rhs = math.pi / complex(np.sin(math.pi * z))
-        rels.append(abs(lhs - rhs) / abs(rhs))
-    return _check("gamma_reflection", worst(rels), 1e-10, seed=seed, samples=samples)
+    for t in np.random.default_rng(seed).uniform(-10.0, 10.0, size=samples).tolist():
+        x = math.pi * abs(t)
+        rhs = math.log(2.0 * math.pi) - x - math.log1p(math.exp(-2.0 * x))
+        lhs = complexfn.log_gamma(complex(0.5, t)) + complexfn.log_gamma(complex(0.5, -t))
+        rels.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    # measured 1.665e-15 natively and with AVX2/AVX-512 off
+    return _check("gamma_reflection", worst(rels), 1e-14, seed=seed, samples=samples)
 
 
 def check_sqrt_roundtrip() -> Dict:
@@ -375,8 +370,8 @@ def diagnostics_ladder() -> List[Dict]:
     def action(sign: int, n: int):
         return ladder_apply(sign, grid_rows[n], alpha).values[inner]
 
-    plus = worst(_rel(action(+1, n) + (n + 1) * f[n + 1], f[n]) for n in range(3))
-    minus = worst(_rel(action(-1, n) + (n + 2 * k - 1) * below[n], f[n]) for n in range(4))
+    plus = worst(relative_sup(action(+1, n) + (n + 1) * f[n + 1], f[n]) for n in range(3))
+    minus = worst(relative_sup(action(-1, n) + (n + 2 * k - 1) * below[n], f[n]) for n in range(4))
     return [
         _diagnostic("ladder_action_plus", plus, h=DIAGNOSTIC_H),
         _diagnostic("ladder_action_minus", minus, h=DIAGNOSTIC_H),

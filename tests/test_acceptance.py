@@ -159,9 +159,9 @@ def test_criterion_10_special_function_suite():
     detail = " ".join([
         pinned(verify.check_laguerre_recurrence(), 1e-10, seed=977101, samples=200),
         pinned(verify.check_gamma_recurrence(), 1e-11, seed=515253, samples=500),
-        pinned(verify.check_gamma_reflection(), 1e-10, seed=616263, samples=500),
+        pinned(verify.check_gamma_reflection(), 1e-14, seed=616263, samples=500),
     ])
-    announce(10, "Laguerre recurrence < 1e-10, gamma recurrence < 1e-11, reflection < 1e-10,",
+    announce(10, "Laguerre recurrence < 1e-10, gamma recurrence < 1e-11, reflection < 1e-14,",
              detail=detail)
 
 

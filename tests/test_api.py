@@ -16,6 +16,7 @@ already sets a count.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -129,7 +130,7 @@ EXPORTED_BY_MODULE = {
     "eigenfunctions": ["eigenfunction_r", "eigenfunction_rows", "eigenfunction_x",
                        "normalization", "ode_residual"],
     "errors": ["DegenerateError", "DomainError", "DunklKGError", "GridError",
-               "NormalizationError", "PoleError"],
+               "NormalizationError"],
     "gridops": ["GridFunction", "derivative_4th", "dunkl_apply", "ladder_apply",
                 "positive_grid", "second_derivative_4th", "symmetric_grid", "z3_apply"],
     "model": ["CurvatureCase", "bargmann_index", "parse_alpha", "parse_complex",
@@ -168,6 +169,23 @@ def test_import_verify_loads_no_numpy():
 def test_cli_import_loads_every_module_the_tracer_reads():
     loaded = _fresh("import json, sys, dunklkg.cli; print(json.dumps(sorted(sys.modules)))")
     assert {f"dunklkg.{name}" for name in TRACED_MODULES} <= set(loaded)
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # read from the tracer's own tables, so deleting a traced name fails here
+    spec = importlib.util.spec_from_file_location("tracer", PKG.parents[1] / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(mod, None, name) for mod, name, *_ in tracer.FUNCTIONS]
+    names += [(mod, cls, name) for mod, cls, name, *_ in tracer.METHODS]
+    missing = []
+    for mod, cls, name in names:
+        owner = importlib.import_module(f"dunklkg.{mod}")
+        if cls is not None:
+            owner = getattr(owner, cls, None)
+        if owner is None or name not in vars(owner):
+            missing.append(".".join(filter(None, (mod, cls, name))))
+    assert names and not missing, f"bench/tracer.py wraps names that are gone: {missing}"
 
 
 # the modules dunklkg.cli registers lazily

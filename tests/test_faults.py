@@ -4,10 +4,12 @@ A passing report says only that nothing it measures is wrong.  Each case
 here monkeypatches one constant or function with a small error and asserts
 that ``run_verification()`` then fails the named records, so a loosened
 bound or a check that stops reading the code it should shows up as a fault
-that passes.  Each fault is small against what the code computes: a
-relative error of 1e-9 to 1e-5, or a constant off by 1e-7.  The NaN faults
-hold the rule that a record is the worst of its samples and a NaN sample
-fails it, which ``max`` does not keep: ``max(x, nan)`` is x.
+that passes.  Each fault but one is small against what the code computes:
+a relative error of 1e-9 to 1e-5, or a constant off by 1e-12 to 1e-7.  The
+one large fault, ``log_gamma`` + 0.1 z, holds that the reflection check
+reads ``log_gamma`` at all.  The NaN faults hold the rule that a record
+is the worst of its samples and a NaN sample fails it, which ``max`` does
+not keep: ``max(x, nan)`` is x.
 """
 
 import math
@@ -44,12 +46,16 @@ def envelope_phase(monkeypatch):
     monkeypatch.setattr(eigenfunctions, "radial_envelope", faulty)
 
 
+def everywhere(monkeypatch, owner, name, faulty):
+    # ``owner.name`` as ``faulty(owner.name)``, under every name the package binds it to
+    original = getattr(owner, name)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("dunklkg") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, faulty(original))
+
+
 def coupling_everywhere(monkeypatch):
-    # under every name the package binds it to
-    original = model.radial_coupling
-    for name, module in list(sys.modules.items()):
-        if name.startswith("dunklkg") and getattr(module, "radial_coupling", None) is original:
-            monkeypatch.setattr(module, "radial_coupling", lambda alpha: original(alpha) + 1e-7)
+    everywhere(monkeypatch, model, "radial_coupling", lambda f: lambda alpha: f(alpha) + 1e-7)
 
 
 def coupling_in_z3(monkeypatch):
@@ -93,6 +99,23 @@ def sqrt_nan_far_right(monkeypatch):
                         lambda z: complex(math.nan, math.nan) if z.real > 45 else original(z))
 
 
+def log_gamma_offset(monkeypatch):
+    # the recurrence cancels a constant; the reflection on Re z = 1/2 reads 2e-12
+    everywhere(monkeypatch, complexfn, "log_gamma", lambda f: lambda z: f(z) + 1e-12)
+
+
+def lanczos_c5(monkeypatch):
+    # reads 2.2e-13 against the clean 1.7e-15; gamma_recurrence only 4.4e-13 of 1e-11
+    coeffs = list(complexfn.LANCZOS_COEFFS)
+    coeffs[5] *= 1.0 + 1e-6
+    monkeypatch.setattr(complexfn, "LANCZOS_COEFFS", tuple(coeffs))
+
+
+def log_gamma_linear(monkeypatch):
+    # 0.1 z adds 0.1 to log Gamma(1/2 + it) + log Gamma(1/2 - it)
+    everywhere(monkeypatch, complexfn, "log_gamma", lambda f: lambda z: f(z) + 0.1 * complex(z))
+
+
 # (fault, the records it must fail)
 FAULTS = [
     (closed_form_lambda, {"xi_zero_reduction"}),
@@ -103,6 +126,9 @@ FAULTS = [
     (gaussian_spectrum, {"self_consistency"}),
     (envelope_nan_at_3_2, {"ode_residual", "z3_eigenvalue", "ode_convergence", "z3_convergence"}),
     (sqrt_nan_far_right, {"sqrt_square_roundtrip"}),
+    (log_gamma_offset, {"gamma_reflection"}),
+    (lanczos_c5, {"gamma_reflection"}),
+    (log_gamma_linear, {"gamma_recurrence", "gamma_reflection"}),
 ]
 
 

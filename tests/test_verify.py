@@ -276,16 +276,17 @@ def test_pow_identities_equal_per_sample_draws():
     assert record["measured"] == worst
 
 
-def test_gamma_reflection_equals_choice_draws():
-    # the sign comes from rng.integers(0, 2), the draw rng.choice([-1, 1]) makes
+def test_gamma_reflection_equals_per_sample_draws():
     record = verify.check_gamma_reflection()
     rng = np.random.default_rng(record["seed"])
     worst = 0.0
     for _ in range(record["samples"]):
-        z = complex(rng.uniform(-5.0, 5.0), rng.choice([-1, 1]) * rng.uniform(0.1, 10.0))
-        lhs = complexfn.gamma(z) * complexfn.gamma(1.0 - z)
-        rhs = math.pi / complex(np.sin(math.pi * z))
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        t = rng.uniform(-10.0, 10.0)
+        x = math.pi * abs(t)
+        rhs = math.log(2.0 * math.pi) - x - math.log1p(math.exp(-2.0 * x))
+        assert rhs == pytest.approx(math.log(math.pi) - math.log(math.cosh(x)), abs=1e-13)
+        lhs = log_gamma(complex(0.5, t)) + log_gamma(complex(0.5, -t))
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     assert record["measured"] == worst
 
 
