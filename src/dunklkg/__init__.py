@@ -33,8 +33,8 @@ _EXPORTS = {
         "DegenerateError", "DomainError", "DunklKGError", "GridError", "NormalizationError",
     ), "errors"),
     **dict.fromkeys((
-        "GridFunction", "derivative_4th", "dunkl_apply", "ladder_apply", "positive_grid",
-        "second_derivative_4th", "symmetric_grid", "z3_apply",
+        "GridFunction", "derivative_4th", "ladder_apply", "positive_grid",
+        "second_derivative_4th", "z3_apply",
     ), "gridops"),
     **dict.fromkeys((
         "CurvatureCase", "PhaseConvention", "bargmann_index", "parse_alpha", "parse_complex",

@@ -125,7 +125,7 @@ def eigenfunction_x(n: int, alpha: AlphaLike, lambda_scale: complex, x):
     """Normalized N_n F_n(Lambda x^2) in the physical coordinate; x >= 0 (scalar or ndarray)."""
     lam = complex(lambda_scale)
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
+    if not np.all(x_arr >= 0):  # also rejects a NaN x
         raise DomainError("eigenfunction_x is defined for x >= 0")
     return normalization(n, alpha, lam) * eigenfunction_r(n, alpha, lam * x_arr**2)
 

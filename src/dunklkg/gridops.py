@@ -1,15 +1,9 @@
-"""Finite-difference realization of the Dunkl derivative and the su(1,1) operators.
+"""Finite-difference su(1,1) operators on the reduced radial coordinate r.
 
-Grids are uniform.  SYMMETRIC grids hold +-(h/2 + j h) so that every point
-has its mirror image present and x = 0 is excluded; reflection is exact
-index mirroring, never interpolation.  POSITIVE grids live on r >= h > 0.
-
-Derivatives use 4th-order stencils: 5-point central rows in the interior
-and shifted 4th-order rows at the two points nearest each edge, so every
-returned sample has O(h^4) truncation.
-
-``dunkl_apply`` implements the reflection form of the Dunkl derivative,
-D f = f' + (alpha/x)(1 - P) f with P the parity operator.
+Grids are uniform, with points r >= h > 0 (``positive_grid``).  Derivatives
+use 4th-order stencils: 5-point central rows in the interior and shifted
+4th-order rows at the two points nearest each edge, so every returned sample
+has O(h^4) truncation.
 """
 
 from __future__ import annotations
@@ -26,16 +20,11 @@ from .model import AlphaLike, radial_coupling
 __all__ = [
     "GridFunction",
     "derivative_4th",
-    "dunkl_apply",
     "ladder_apply",
     "positive_grid",
     "second_derivative_4th",
-    "symmetric_grid",
     "z3_apply",
 ]
-
-SYMMETRIC = "symmetric"
-POSITIVE = "positive"
 
 _UNIFORM_TOL = 1e-12
 _MIN_POINTS = 9
@@ -47,12 +36,11 @@ _POSITIVE_GRID_BYTES_PER_POINT = 216
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a uniform 1-D grid."""
+    """Complex samples on a uniform 1-D grid of points r >= h > 0."""
 
     points: np.ndarray
     values: np.ndarray
     h: float
-    domain_kind: str
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -67,20 +55,8 @@ class GridFunction:
             raise GridError("grid spacing must be positive")
         if np.max(np.abs(np.diff(pts) - self.h)) > _UNIFORM_TOL:
             raise GridError("grid spacing not uniform to 1e-12")
-        if self.domain_kind == SYMMETRIC:
-            if np.max(np.abs(pts + pts[::-1])) > _UNIFORM_TOL:
-                raise GridError("symmetric grid must contain -x for every x")
-            if np.any(pts == 0.0):
-                raise GridError("symmetric grid must exclude x = 0")
-            if pts.size < 2 * _MIN_POINTS:
-                raise GridError(
-                    f"symmetric grid needs at least {_MIN_POINTS} points per side"
-                )
-        elif self.domain_kind == POSITIVE:
-            if pts[0] < self.h - _UNIFORM_TOL:
-                raise GridError("positive grid must start at r >= h > 0")
-        else:
-            raise GridError(f"unknown domain kind {self.domain_kind!r}")
+        if pts[0] < self.h - _UNIFORM_TOL:
+            raise GridError("positive grid must start at r >= h > 0")
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         """This grid, checked when it was built, with new samples; only their
@@ -91,12 +67,6 @@ class GridFunction:
         out = object.__new__(GridFunction)
         out.__dict__.update(self.__dict__, values=vals)
         return out
-
-
-def symmetric_grid(h: float, n_per_side: int) -> np.ndarray:
-    """Points +-(h/2 + j h), j = 0..n_per_side-1, ascending; excludes zero."""
-    half = h / 2.0 + h * np.arange(n_per_side)
-    return np.concatenate([-half[::-1], half])
 
 
 def positive_grid(r_min: float, r_max: float, h: float) -> np.ndarray:
@@ -177,21 +147,6 @@ def second_derivative_4th(values: np.ndarray, h: float) -> np.ndarray:
     return _stencil(values, h * h, _D2_INTERIOR, _D2_EDGE0, _D2_EDGE1, 1.0)
 
 
-def _require(gf: GridFunction, kind: str, op: str) -> None:
-    if gf.domain_kind != kind:
-        raise GridError(f"{op} requires a {kind} grid, got {gf.domain_kind}")
-
-
-def dunkl_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
-    """Reflection-form Dunkl derivative D f = f' + (alpha/x)(f(x) - f(-x))."""
-    _require(gf, SYMMETRIC, "dunkl_apply")
-    a = float(alpha)
-    deriv = derivative_4th(gf.values, gf.h)
-    reflected = gf.values[::-1]  # exact mirror on a symmetric grid
-    out = deriv + a / gf.points * (gf.values - reflected)
-    return gf.with_values(out)
-
-
 def z3_values(values: np.ndarray, r: np.ndarray, d2: np.ndarray, alpha: AlphaLike) -> np.ndarray:
     """Compact generator Z3 f = i [ r f'' + (alpha/2 + 3/16) f / r + r f / 4 ].
 
@@ -211,8 +166,7 @@ def z3_values(values: np.ndarray, r: np.ndarray, d2: np.ndarray, alpha: AlphaLik
 
 
 def z3_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
-    """``z3_values`` of a positive-grid function, with the stencil's f''."""
-    _require(gf, POSITIVE, "z3_apply")
+    """``z3_values`` of a grid function, with the stencil's f''."""
     d2 = second_derivative_4th(gf.values, gf.h)
     return gf.with_values(z3_values(gf.values, gf.points, d2, alpha))
 
@@ -229,7 +183,6 @@ def ladder_apply(sign: int, gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     The paper's printed relations, [Z3, D+] = -D+, [Z3, D-] = +D- and
     [D+, D-] = 2 Z3, hold for T_-+ (its D+ is T_-, its D- is T_+).
     """
-    _require(gf, POSITIVE, "ladder_apply")
     if sign not in (1, -1):
         raise GridError(f"ladder sign must be +1 or -1, got {sign!r}")
     s = -float(sign)  # T_plus carries -r d/dr

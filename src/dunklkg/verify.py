@@ -84,10 +84,10 @@ Z3_CONV_H = 0.002
 def _checked_grid(r_min: float, r_max: float, h: float):
     """The positive grid as the ``GridFunction`` r; building it checks the grid
     (uniform spacing, r >= h) once for every row evaluated on it."""
-    from .gridops import POSITIVE, GridFunction, positive_grid
+    from .gridops import GridFunction, positive_grid
 
     r = positive_grid(r_min, r_max, h)
-    return GridFunction(r, r, h, POSITIVE)
+    return GridFunction(r, r, h)
 
 
 def _check(

@@ -34,8 +34,6 @@ import dunklkg
 PKG = Path(dunklkg.__file__).parent
 
 ALLOWED_UNREACHED = {
-    "dunkl_apply": "the paper's Dunkl operator; to be reached by a verify check",
-    "symmetric_grid": "the Dunkl operator's grid; to be reached by a verify check",
     "ode_residual": "the tests' single-n ODE oracle; timed by the benchmark tracer",
     "laguerre_sequence": "the tests' table oracle; wrapped by the benchmark tracer",
 }
@@ -131,8 +129,8 @@ EXPORTED_BY_MODULE = {
                        "normalization", "ode_residual"],
     "errors": ["DegenerateError", "DomainError", "DunklKGError", "GridError",
                "NormalizationError"],
-    "gridops": ["GridFunction", "derivative_4th", "dunkl_apply", "ladder_apply",
-                "positive_grid", "second_derivative_4th", "symmetric_grid", "z3_apply"],
+    "gridops": ["GridFunction", "derivative_4th", "ladder_apply", "positive_grid",
+                "second_derivative_4th", "z3_apply"],
     "model": ["CurvatureCase", "bargmann_index", "parse_alpha", "parse_complex",
               "radial_coupling", "scale_factor", "sigma_index"],
     "refdata": ["compare_reference"],

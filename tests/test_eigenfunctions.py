@@ -87,6 +87,13 @@ def test_lambda_zero_rejected():
         normalization(0, Fraction(1, 2), 0.0)
 
 
+@pytest.mark.parametrize("x", [-0.5, [0.5, -0.5], [0.5, math.nan], math.nan])
+def test_x_outside_the_half_line_rejected(x):
+    # the rule of coherent._closed_form: a NaN x is not x >= 0
+    with pytest.raises(DomainError, match="x >= 0"):
+        eigenfunction_x(0, Fraction(1, 2), 1 - 1j, x)
+
+
 # --- x-form vs r-form ------------------------------------------------------------
 
 def test_x_equals_normalized_r_composition():

@@ -1,4 +1,4 @@
-"""Grid machinery: stencil order, Dunkl operator, su(1,1) generators,
+"""Grid machinery: grid checks, stencil order, su(1,1) generators,
 commutators."""
 
 from fractions import Fraction
@@ -11,7 +11,6 @@ from dunklkg import (
     GridFunction,
     bargmann_index,
     derivative_4th,
-    dunkl_apply,
     eigenfunction_r,
     eigenfunction_rows,
     gridops,
@@ -19,7 +18,6 @@ from dunklkg import (
     positive_grid,
     radial_coupling,
     second_derivative_4th,
-    symmetric_grid,
     z3_apply,
 )
 from dunklkg.eigenfunctions import row_residuals
@@ -27,14 +25,9 @@ from dunklkg.eigenfunctions import row_residuals
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
 
 
-def on_symmetric(f, h, n_per_side):
-    pts = symmetric_grid(h, n_per_side)
-    return GridFunction(pts, np.asarray(f(pts), dtype=complex), h, "symmetric")
-
-
 def on_positive(f, r_min, r_max, h):
     pts = positive_grid(r_min, r_max, h)
-    return GridFunction(pts, np.asarray(f(pts), dtype=complex), h, "positive")
+    return GridFunction(pts, np.asarray(f(pts), dtype=complex), h)
 
 
 # --- grid structure -----------------------------------------------------------
@@ -58,29 +51,18 @@ def test_positive_grid_refuses_an_unallocatable_spacing(h):
     assert len(str(err.value)) <= 110
 
 
-def test_symmetric_grid_structure():
-    pts = symmetric_grid(0.1, 20)
-    assert pts.size == 40
-    np.testing.assert_array_equal(pts, -pts[::-1])
-    assert np.min(np.abs(pts)) == pytest.approx(0.05)
-    assert np.max(np.abs(np.diff(pts) - 0.1)) < 1e-15
-
-
 def test_grid_validation():
-    with pytest.raises(GridError):  # not symmetric
-        GridFunction(np.linspace(0.1, 2.0, 20), np.zeros(20), 0.1, "symmetric")
-    with pytest.raises(GridError):  # symmetric needs >= 9 points per side
-        pts = symmetric_grid(0.1, 8)
-        GridFunction(pts, np.zeros(pts.size), 0.1, "symmetric")
     with pytest.raises(GridError):  # too few points
-        GridFunction(np.linspace(1.0, 2.0, 5), np.zeros(5), 0.25, "positive")
-    with pytest.raises(GridError):  # positive grid must start at >= h
-        GridFunction(0.001 + 0.1 * np.arange(20), np.zeros(20), 0.1, "positive")
+        GridFunction(np.linspace(1.0, 2.0, 5), np.zeros(5), 0.25)
+    with pytest.raises(GridError):  # grid must start at >= h
+        GridFunction(0.001 + 0.1 * np.arange(20), np.zeros(20), 0.1)
     with pytest.raises(GridError):  # non-uniform
         pts = np.concatenate([np.linspace(1, 2, 10), [2.3]])
-        GridFunction(pts, np.zeros(11), 1.0 / 9.0, "positive")
-    with pytest.raises(GridError):  # unknown kind
-        GridFunction(np.linspace(1, 2, 10), np.zeros(10), 1.0 / 9.0, "circular")
+        GridFunction(pts, np.zeros(11), 1.0 / 9.0)
+    pts = 1.0 + 0.1 * np.arange(20)
+    for h in (0.0, -0.1, float("nan")):  # spacing must be positive
+        with pytest.raises(GridError, match="grid spacing must be positive"):
+            GridFunction(pts, np.zeros(20), h)
 
 
 def test_with_values_checks_the_shape_of_new_samples():
@@ -134,60 +116,6 @@ def test_z3_values_equal_the_divided_formula_bitwise(alpha):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_dunkl_richardson_ratio_on_sine():
-    # 4th-order scaling: halving h divides the error by ~16 (the reflection
-    # term is exact index mirroring, so the error is pure stencil truncation)
-    alpha = Fraction(3, 2)
-
-    def err(h):
-        gf = on_symmetric(np.sin, h, int(round(2.0 / h)))
-        x = gf.points
-        exact = np.cos(x) + float(alpha) / x * (np.sin(x) - np.sin(-x))
-        return float(np.max(np.abs(dunkl_apply(gf, alpha).values - exact)))
-
-    # h small enough that the one-sided edge rows are in their asymptotic
-    # regime too (their h^5 term is larger than the central row's)
-    ratio = err(0.02) / err(0.01)
-    assert 14.0 <= ratio <= 18.0
-
-
-# --- Dunkl operator ---------------------------------------------------------------
-
-def test_dunkl_even_reduces_to_derivative():
-    h = 1e-3
-    gf = on_symmetric(lambda x: x**2, h, 1000)
-    out = dunkl_apply(gf, Fraction(3, 2)).values
-    assert np.max(np.abs(out - 2.0 * gf.points)) < 1e-8
-
-
-def test_dunkl_even_polynomials_up_to_degree_8():
-    h = 1e-3
-    for p in (2, 4, 6, 8):
-        gf = on_symmetric(lambda x, p=p: x**p, h, 1000)
-        out = dunkl_apply(gf, Fraction(7, 2)).values
-        assert np.max(np.abs(out - p * gf.points ** (p - 1))) < 1e-8
-
-
-def test_dunkl_linear():
-    gf = on_symmetric(lambda x: x, 0.01, 100)
-    for alpha in ALPHAS:
-        out = dunkl_apply(gf, alpha).values
-        assert np.max(np.abs(out - (1.0 + 2.0 * float(alpha)))) < 1e-10
-
-
-def test_dunkl_cubic():
-    gf = on_symmetric(lambda x: x**3, 0.01, 100)
-    alpha = Fraction(3, 2)
-    expected = 3.0 * gf.points**2 + 2.0 * float(alpha) * gf.points**2
-    assert np.max(np.abs(dunkl_apply(gf, alpha).values - expected)) < 1e-9
-
-
-def test_dunkl_requires_symmetric_grid():
-    gf = on_positive(lambda r: r, 1.0, 2.0, 0.05)
-    with pytest.raises(GridError):
-        dunkl_apply(gf, Fraction(1, 2))
-
-
 # --- Z3 and ladder operators --------------------------------------------------------
 
 def test_z3_on_constant():
@@ -222,7 +150,7 @@ def test_z3_fourth_order_convergence():
 def ladder_rows(alpha, h=2e-3):
     """F_0 .. F_5 of alpha as grid functions on [0.1, 20] with spacing h."""
     r = positive_grid(0.1, 20.0, h)
-    return [GridFunction(r, f, h, "positive") for f in eigenfunction_rows(5, alpha, r)]
+    return [GridFunction(r, f, h) for f in eigenfunction_rows(5, alpha, r)]
 
 
 def test_ladder_difference_is_derivative_term():
@@ -274,7 +202,7 @@ def test_commutator_double_evaluation_consistency():
     h = 1e-3
     r = positive_grid(0.1, 5.0, h)
     alpha = Fraction(1, 2)
-    gf = GridFunction(r, eigenfunction_r(0, alpha, r), h, "positive")
+    gf = GridFunction(r, eigenfunction_r(0, alpha, r), h)
     composed = (
         z3_apply(gf.with_values(r * gf.values), alpha).values - r * z3_apply(gf, alpha).values
     )
