@@ -143,20 +143,21 @@ def ode_residual(n: int, alpha: AlphaLike, r_min: float = 0.1, r_max: float = 20
         raise DomainError("grid must exclude r = 0")
     r = positive_grid(r_min, r_max, h)
     f = eigenfunction_r(n, alpha, r)
-    return row_residuals(n, alpha, r, f, second_derivative_4th(f, h))[1]
+    z3 = z3_values(f, r, second_derivative_4th(f, h), alpha)
+    return row_residuals(n, alpha, r, f, z3)[1]
 
 
 def row_residuals(n: int, alpha: AlphaLike, r: np.ndarray, f: np.ndarray,
-                  d2: np.ndarray) -> Tuple[float, float]:
+                  z3: np.ndarray) -> Tuple[float, float]:
     """(Z3, ODE) residuals of samples ``f`` of F_n at the real points ``r``, given
-    F_n'' there (``d2``, the stencil's or the exact one; overwritten).
+    Z3 F_n there (``z3``, from ``z3_values`` with the stencil's or the exact
+    F_n''; overwritten).
 
     With res = Z3 F - (k+n) F, the Z3 eigenvalue residual is
     max |res| / max |F|.  The reduced equation's residual is i r times res,
     so ``ode_residual`` is max |r res| / max |F| with the two samples nearest
     each edge dropped.  The operator is written once, in ``z3_values``.
     """
-    res = z3_values(f, r, d2, alpha)
-    res -= (bargmann_index(alpha) + n) * f
+    res = np.subtract(z3, (bargmann_index(alpha) + n) * f, out=z3)
     # the Z3 residual is read before the ODE's overwrites res
     return relative_sup(res, f), relative_sup(np.multiply(r, res, out=res)[2:-2], f)

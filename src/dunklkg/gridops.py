@@ -3,7 +3,9 @@
 Grids are uniform, with points r >= h > 0 (``positive_grid``).  Derivatives
 use 4th-order stencils: 5-point central rows in the interior and shifted
 4th-order rows at the two points nearest each edge, so every returned sample
-has O(h^4) truncation.
+has O(h^4) truncation.  ``z3_values`` and ``ladder_values`` write Z3 and T+-
+once, given the derivatives, so the exact pass of ``verify.exact_sweep``
+applies them too.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ __all__ = [
 
 _UNIFORM_TOL = 1e-12
 _MIN_POINTS = 9
-# peak bytes per point of the heaviest positive-grid user, the ladder
-# diagnostics on F_0 .. F_3 (168 measured with tracemalloc; a stencil sweep
-# of verify peaks at 135), with a 29 % margin
-_POSITIVE_GRID_BYTES_PER_POINT = 216
+# peak bytes per point of the heaviest positive-grid user, verify's stencil
+# sweep at h = 0.002 (141.9 measured with tracemalloc; a whole verify run
+# peaks at 143.3 per point of that grid), with a 28 % margin
+_POSITIVE_GRID_BYTES_PER_POINT = 184
 
 
 @dataclass(frozen=True)
@@ -171,21 +173,28 @@ def z3_apply(gf: GridFunction, alpha: AlphaLike) -> GridFunction:
     return gf.with_values(z3_values(gf.values, gf.points, d2, alpha))
 
 
-def ladder_apply(sign: int, gf: GridFunction, alpha: AlphaLike) -> GridFunction:
+def ladder_values(sign: int, values: np.ndarray, r: np.ndarray, d1: np.ndarray,
+                  z3: np.ndarray) -> np.ndarray:
     """Ladder operator T_+- f = -+ r f' + (i/2) r f - Z3 f.
 
-    ``sign`` is +1/-1 selecting T_plus / T_minus.  With Z3 these close the
-    su(1,1) algebra, [Z3, T_+-] = +-T_+- and [T_+, T_-] = -2 Z3, and act on
-    the eigenfunctions as the Laguerre ladder (DLMF 18.9):
-    T_+ F_n = -(n+1) F_{n+1} and T_- F_n = -(n+2k-1) F_{n-1}, T_- F_0 = 0.
-    Relative to D_+- = -+ r f' + (i/2) r f + Z3 f, which closes no such
-    algebra, T_+- = D_+- - 2 Z3.
+    ``sign`` is +1/-1 selecting T_plus / T_minus; ``values`` are samples of
+    f at the real points ``r``, ``d1`` its f' there and ``z3`` its Z3 f
+    (``z3_values``), each the stencil's (``ladder_apply``) or an exact one.
+    With Z3 these close the su(1,1) algebra, [Z3, T_+-] = +-T_+- and
+    [T_+, T_-] = -2 Z3, and act on the eigenfunctions as the Laguerre ladder
+    (DLMF 18.9): T_+ F_n = -(n+1) F_{n+1} and T_- F_n = -(n+2k-1) F_{n-1},
+    T_- F_0 = 0.  Relative to D_+- = -+ r f' + (i/2) r f + Z3 f, which closes
+    no such algebra, T_+- = D_+- - 2 Z3.
     The paper's printed relations, [Z3, D+] = -D+, [Z3, D-] = +D- and
     [D+, D-] = 2 Z3, hold for T_-+ (its D+ is T_-, its D- is T_+).
     """
     if sign not in (1, -1):
         raise GridError(f"ladder sign must be +1 or -1, got {sign!r}")
     s = -float(sign)  # T_plus carries -r d/dr
-    r = gf.points
+    return s * r * d1 + 0.5j * r * values - z3
+
+
+def ladder_apply(sign: int, gf: GridFunction, alpha: AlphaLike) -> GridFunction:
+    """``ladder_values`` of a grid function, with the stencils' f' and Z3 f."""
     d1 = derivative_4th(gf.values, gf.h)
-    return gf.with_values(s * r * d1 + 0.5j * r * gf.values - z3_apply(gf, alpha).values)
+    return gf.with_values(ladder_values(sign, gf.values, gf.points, d1, z3_apply(gf, alpha).values))

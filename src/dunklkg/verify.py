@@ -3,21 +3,19 @@
 Assertable checks carry a tolerance and a pass/fail status; diagnostics
 are reported with status ``measured`` and never gate anything.  Among the
 diagnostics, the su(1,1) algebra of Z3 and the ladder pair T+- of
-``gridops.ladder_apply`` is measured at h = DIAGNOSTIC_H as one residual per
-direction of the ladder action on F_0 .. F_3:
-T+ F_n = -(n+1) F_{n+1} for n = 0..2 and T- F_n = -(n+2k-1) F_{n-1} for
-n = 0..3.  With Z3 F_n = (k+n) F_n (the ``z3_eigenvalue`` check), these
-actions give the three commutation relations on span{F_0, F_1, F_2}, one
-line each (Perelomov, *Generalized Coherent States*, 1986, ch. 5; DLMF 18.9):
+``gridops.ladder_values`` is measured as one residual per direction of the
+ladder action on F_0 .. F_5, with exact derivatives (``exact_sweep``):
+T+ F_n = -(n+1) F_{n+1} for n = 0..4 and T- F_n = -(n+2k-1) F_{n-1} for
+n = 0..5.  With Z3 F_n = (k+n) F_n (the ``z3_eigenvalue`` check), these
+actions give the three commutation relations, one line each (Perelomov,
+*Generalized Coherent States*, 1986, ch. 5; DLMF 18.9):
 
     [Z3, T+] F_n = ((k+n+1) - (k+n)) T+ F_n = T+ F_n,
     [Z3, T-] F_n = ((k+n-1) - (k+n)) T- F_n = -T- F_n,
     [T+, T-] F_n = (n (n+2k-1) - (n+1) (n+2k)) F_n = -2 (k+n) F_n = -2 Z3 F_n.
 
-For n = 0..2 they read T+ on F_0 .. F_2 and T- on F_0 .. F_3, the records'
-range.  Composing the stencils to form the commutators again would measure
-only how the stencils compose: that round-off floor rises about 8x per
-halving of h.
+On span{F_0, .., F_4} they need T+ on F_0 .. F_4 and T- on F_0 .. F_5, the
+records' range.
 
 Every record is the worst of its samples (``refdata.worst``), and a NaN
 sample makes it NaN: an assertable record then fails, and ``measured``
@@ -74,20 +72,9 @@ DENSITY_X = (0.01, 2.0, 400)
 
 # samples of the exact residuals, linspace(R_MIN, R_MAX, EXACT_SAMPLES)
 EXACT_SAMPLES = 200
-# spacing of the su(1,1) ladder diagnostics
-DIAGNOSTIC_H = 0.002
 # minimum spacings for the h -> h/2 convergence diagnostics (see module doc)
 ODE_CONV_H = 0.004
 Z3_CONV_H = 0.002
-
-
-def _checked_grid(r_min: float, r_max: float, h: float):
-    """The positive grid as the ``GridFunction`` r; building it checks the grid
-    (uniform spacing, r >= h) once for every row evaluated on it."""
-    from .gridops import GridFunction, positive_grid
-
-    r = positive_grid(r_min, r_max, h)
-    return GridFunction(r, r, h)
 
 
 def _check(
@@ -144,50 +131,71 @@ def grid_sweep(h: float) -> Tuple[float, float]:
     """Worst (Z3, ODE) ``row_residuals`` of the alpha x n sweep on the standard grid
     of spacing h, with the stencil's F_n''; one F_n stream per alpha."""
     from .eigenfunctions import eigenfunction_rows, row_residuals
-    from .gridops import second_derivative_4th
+    from .gridops import GridFunction, positive_grid, second_derivative_4th, z3_values
 
-    r = _checked_grid(R_MIN, R_MAX, h).points
+    r = positive_grid(R_MIN, R_MAX, h)
+    GridFunction(r, r, h)  # checks the grid (uniform spacing, r >= h) once for every row
     z3, ode = zip(*(
-        row_residuals(n, alpha, r, f, second_derivative_4th(f, h))
+        row_residuals(n, alpha, r, f, z3_values(f, r, second_derivative_4th(f, h), alpha))
         for alpha in SWEEP_ALPHAS
         for n, f in enumerate(eigenfunction_rows(max(SWEEP_N), alpha, r))
     ))
     return worst(z3), worst(ode)
 
 
-def exact_sweep() -> Tuple[float, float]:
-    """Worst (Z3, ODE) ``row_residuals`` of the alpha x n sweep at EXACT_SAMPLES
-    points of [R_MIN, R_MAX], with the exact F_n''.
+def exact_sweep() -> Tuple[float, float, float, float]:
+    """Worst (Z3, ODE) ``row_residuals`` and worst (T+, T-) ladder residuals of the
+    alpha x n sweep at EXACT_SAMPLES points of [R_MIN, R_MAX], from one exact
+    pass that gives F_n, F_n' and F_n'' per row.
 
     F_n = g L_n^(a)(ir), g = r^(sigma+1/2) e^(-ir/2), a = 2 sigma.  As
     d/dz L_n^(a) = -L_{n-1}^(a+1) (DLMF 18.9.23), with L_{-1} = L_{-2} = 0,
+    F_n' = g [(g'/g) L_n^(a) - i L_{n-1}^(a+1)] and
     F_n'' = g [(g''/g) L_n^(a) - 2i (g'/g) L_{n-1}^(a+1) - L_{n-2}^(a+2)], where
     g'/g = (sigma+1/2)/r - i/2 and g''/g = (g'/g)^2 - (sigma+1/2)/r^2.
+
+    The ladder residuals are sup |T+- F_n - rhs| / sup |F_n|, the
+    normalisation of the Z3 residual, for T+ F_n = -(n+1) F_{n+1} (n = 0..4)
+    and T- F_n = -(n+2k-1) F_{n-1} (n = 0..5, T- F_0 = 0), with
+    ``gridops.ladder_values`` of the exact F_n' and Z3 F_n.
     """
     import numpy as np
 
     from .eigenfunctions import radial_envelope, row_residuals
+    from .gridops import ladder_values, z3_values
 
     r, n_max = np.linspace(R_MIN, R_MAX, EXACT_SAMPLES), max(SWEEP_N)
-    rows = []
+    rows, plus, minus = [], [], []
     for alpha in SWEEP_ALPHAS:
-        sig = sigma_index(alpha)
+        sig, k = sigma_index(alpha), bargmann_index(alpha)
         g = radial_envelope(alpha, r + 0j)
         d1 = (sig + 0.5) / r - 0.5j
         d2 = d1 * d1 - (sig + 0.5) / (r * r)
         # lag[j][n] is L_{n-j}^(a+j)(ir)
         lag = [[0.0] * j + list(complexfn.laguerre_rows(n_max - j, 2.0 * sig + j, 1j * r))
                for j in range(3)]
+        below = 0.0  # F_{n-1}, and F_{-1} = 0
         for n in SWEEP_N:
+            f = g * lag[0][n]
+            f1 = g * (d1 * lag[0][n] - 1j * lag[1][n])
             f2 = g * (d2 * lag[0][n] - 2j * d1 * lag[1][n] - lag[2][n])
-            rows.append(row_residuals(n, alpha, r, g * lag[0][n], f2))
+            z3 = z3_values(f, r, f2, alpha)
+            if n:  # T+ F_{n-1} = -n F_n
+                plus.append(relative_sup(up + n * f, below))
+            if n < n_max:
+                up = ladder_values(+1, f, r, f1, z3)
+            down = ladder_values(-1, f, r, f1, z3)
+            minus.append(relative_sup(down + (n + 2 * k - 1) * below, f))
+            rows.append(row_residuals(n, alpha, r, f, z3))  # overwrites z3
+            below = f
     z3, ode = zip(*rows)
-    return worst(z3), worst(ode)
+    return worst(z3), worst(ode), worst(plus), worst(minus)
 
 
 # The residual checks take a ``sweep``: grid_sweep or exact_sweep, or (in
-# run_verification) a cache of it.  _Z3, _ODE index its result.
-_Z3, _ODE = 0, 1
+# run_verification) a cache of it.  _Z3, _ODE index its result, and _PLUS,
+# _MINUS the ladder residuals that only exact_sweep returns.
+_Z3, _ODE, _PLUS, _MINUS = range(4)
 
 
 def _residual_convergence(name: str, sweep: Callable, field: int, h: float, h_min: float) -> Dict:
@@ -345,36 +353,15 @@ def check_pow_identities() -> Dict:
 # measured-only diagnostics
 # ---------------------------------------------------------------------------
 
-def diagnostics_ladder() -> List[Dict]:
-    """Residuals of the ladder action on F_0 .. F_3 at alpha = 1/2:
-    T+ F_n = -(n+1) F_{n+1} and T- F_n = -(n+2k-1) F_{n-1}, with T- F_0 = 0.
-
-    F_0 .. F_3 come from one pass on the standard grid of spacing
-    DIAGNOSTIC_H.  Each record is the worst over n of
-    sup |T+- F_n - rhs| / sup |F_n|, the normalisation of the Z3 residual,
-    over the interior: 8 samples in from each edge, clear of the stencils'
-    one-sided edge rows (2 samples in).  The margin is part of what the
-    records measure, so it stays fixed.
-    """
-    from .eigenfunctions import eigenfunction_rows
-    from .gridops import ladder_apply
-
-    alpha = Fraction(1, 2)
-    grid = _checked_grid(R_MIN, R_MAX, DIAGNOSTIC_H)
-    grid_rows = [grid.with_values(row) for row in eigenfunction_rows(3, alpha, grid.points)]
-    inner = slice(8, -8)
-    f = [row.values[inner] for row in grid_rows]
-    below = [0.0] + f  # below[n] is F_{n-1}, and F_{-1} = 0
-    k = bargmann_index(alpha)
-
-    def action(sign: int, n: int):
-        return ladder_apply(sign, grid_rows[n], alpha).values[inner]
-
-    plus = worst(relative_sup(action(+1, n) + (n + 1) * f[n + 1], f[n]) for n in range(3))
-    minus = worst(relative_sup(action(-1, n) + (n + 2 * k - 1) * below[n], f[n]) for n in range(4))
+def diagnostics_ladder(exact: Callable) -> List[Dict]:
+    """The exact pass's residuals of the ladder action (``exact_sweep``, or in
+    run_verification its cache): T+ F_n = -(n+1) F_{n+1} for n = 0..4 and
+    T- F_n = -(n+2k-1) F_{n-1} for n = 0..5, with T- F_0 = 0, over
+    alpha in SWEEP_ALPHAS at EXACT_SAMPLES points."""
+    result = exact()
     return [
-        _diagnostic("ladder_action_plus", plus, h=DIAGNOSTIC_H),
-        _diagnostic("ladder_action_minus", minus, h=DIAGNOSTIC_H),
+        _diagnostic("ladder_action_plus", result[_PLUS], samples=EXACT_SAMPLES),
+        _diagnostic("ladder_action_minus", result[_MINUS], samples=EXACT_SAMPLES),
     ]
 
 
@@ -437,7 +424,8 @@ def run_verification(grid_h: float = 1e-3, suite: Optional[str] = None) -> Dict:
     """
     if not (0.0 < grid_h < math.inf):
         raise DomainError(f"grid_h must be positive and finite, got {grid_h}")
-    # the four residual checks share each sweep, within this call only
+    # the residual checks and the ladder diagnostic share each sweep, within
+    # this call only
     sweep, exact = functools.cache(grid_sweep), functools.cache(exact_sweep)
     check_builders: List[tuple] = [
         ("casimir_identity", check_casimir_identity),
@@ -461,7 +449,7 @@ def run_verification(grid_h: float = 1e-3, suite: Optional[str] = None) -> Dict:
     ]
     # diagnostic builders may emit several records each
     diagnostic_builders: List[tuple] = [
-        ("ladder_action", diagnostics_ladder),
+        ("ladder_action", lambda: diagnostics_ladder(exact)),
         ("density_peak", diagnostics_peak_trend),
         ("self_consistency_strict_principal", diagnostics_strict_principal),
     ]

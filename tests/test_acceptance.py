@@ -165,14 +165,15 @@ def test_criterion_10_special_function_suite():
              detail=detail)
 
 
-# Bounds on verify's su(1,1) diagnostics at h = 0.002, alpha = 1/2: about twice
-# the larger of the values measured natively and with numpy's AVX2 and AVX-512
-# kernels disabled (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4").  With the Z3
-# eigenvalue relation (criterion 6's z3_eigenvalue), the ladder action on
-# F_0 .. F_3 gives the commutation relations on span{F_0, F_1, F_2}.
+# Bounds on verify's su(1,1) diagnostics, exact at 200 samples for alpha in
+# {1/2, 3/2, 7/2}: about twice the larger of the values measured natively and
+# with numpy's AVX2 and AVX-512 kernels disabled
+# (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4").  With the Z3 eigenvalue relation
+# (criterion 6's z3_eigenvalue), the ladder action on F_0 .. F_5 gives the
+# commutation relations on span{F_0, .., F_4}.
 SU11_BOUNDS = {
-    "ladder_action_plus": 5e-8,         # 1.76e-8 in both
-    "ladder_action_minus": 5e-8,        # 1.79e-8 in both
+    "ladder_action_plus": 1.5e-14,      # 6.55e-15 natively, 7.11e-15 without AVX2
+    "ladder_action_minus": 8e-15,       # 3.27e-15 natively, 3.93e-15 without AVX2
 }
 
 
@@ -184,10 +185,10 @@ def test_criterion_11_soft_trend_diagnostics():
     in the gate while ``verify`` reports it as measured only.
     """
     peaks = verify.diagnostics_peak_trend()
-    su11 = verify.diagnostics_ladder()
+    su11 = verify.diagnostics_ladder(verify.exact_sweep)
     within = [
         rec["name"] for rec in su11
-        if rec["h"] == 0.002 and rec["measured"] < SU11_BOUNDS.get(rec["name"], 0.0)
+        if rec["samples"] == 200 and rec["measured"] < SU11_BOUNDS.get(rec["name"], 0.0)
     ]
     passed = len(peaks) == 2 and within == list(SU11_BOUNDS)
     for item in peaks + su11:

@@ -589,7 +589,7 @@ def test_unusable_density_window_gives_one_line_and_no_warning(runner, window, c
 )
 def test_grid_larger_than_physical_memory_exits_1(runner, monkeypatch, args):
     # a 1 MiB machine: both grids fit the address space but not the memory
-    # (the convergence check's finest grid, h = 0.002, is 9951 points x 216 B)
+    # (the convergence check's finest grid, h = 0.002, is 9951 points x 184 B)
     monkeypatch.setattr(gridops, "_physical_memory", lambda: 2**20)
     res = runner.invoke(cli, args)
     assert res.exit_code == 1

@@ -36,6 +36,7 @@ from dunklkg import (
     verify,
 )
 from dunklkg.coherent import _BLOCK_ROWS, _PROFILE_BYTES_PER_POINT, profiles_to_csv
+from dunklkg.spectrum import csv_field
 
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
 XIS = [0.3 + 0.0j, 0.5 + 0.2j, 0.1 - 0.6j]
@@ -331,6 +332,27 @@ def test_profile_serialization_deterministic():
     assert json_text([prof]) == json_text([prof])
     header = prof.to_csv().splitlines()[0]
     assert header.startswith("# case=gaussian alpha=1/2 n=1 xi=0.5+0.2i tau=0")
+
+
+def parse_meta_line(line):
+    """A CSV profile's ``# key=value ...`` line, read by the README's rule: the
+    pairs are split on spaces up to ``warning``, the last key, whose value
+    runs to the end of the line."""
+    assert line.startswith("# ")
+    head, sep, warning = line[2:].partition(" warning=")
+    assert sep
+    return [tuple(pair.split("=", 1)) for pair in head.split(" ")] + [("warning", warning)]
+
+
+@pytest.mark.parametrize("alpha, n", [(Fraction(7, 2), 0), (Fraction(1, 2), 1)],
+                         ids=["warned", "unwarned"])
+def test_csv_meta_line_parses_back_to_meta(alpha, n):
+    # the warned profile's value holds spaces and the tokens "alpha=7/2," and
+    # "n=0", so only the rule, not a split on spaces, reads it back
+    prof = build_profile(CurvatureCase.GAUSSIAN, alpha, n, 0.3, points=50)
+    assert bool(prof.meta["warning"]) == (alpha == Fraction(7, 2))
+    line = next(profiles_to_csv([prof])).splitlines()[0]
+    assert parse_meta_line(line) == [(key, csv_field(value)) for key, value in prof.meta.items()]
 
 
 # --- writers: byte for byte against the standard library ------------------------

@@ -26,6 +26,7 @@ from dunklkg import (
     sigma_index,
 )
 from dunklkg.eigenfunctions import radial_envelope, row_residuals
+from dunklkg.gridops import z3_values
 
 ALPHAS = [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2)]
 CASE_BRANCHES = [
@@ -185,7 +186,8 @@ def test_ode_residual_rejects_non_eigenfunction():
     alpha, h = Fraction(1, 2), 1e-3
     r = positive_grid(0.1, 20.0, h)
     f = eigenfunction_r(0, alpha, r)
-    assert row_residuals(1, alpha, r, f, second_derivative_4th(f, h))[1] > 1e-2
+    z3 = z3_values(f, r, second_derivative_4th(f, h), alpha)
+    assert row_residuals(1, alpha, r, f, z3)[1] > 1e-2
 
 
 def test_ode_fourth_order_convergence():

@@ -131,7 +131,8 @@ def z3_eigenvalue_residual(n, alpha, h):
     """sup |Z3 F_n - (k+n) F_n| / sup |F_n| on the standard grid [0.1, 20]."""
     r = positive_grid(0.1, 20.0, h)
     f = eigenfunction_r(n, alpha, r)
-    return row_residuals(n, alpha, r, f, second_derivative_4th(f, h))[0]
+    z3 = gridops.z3_values(f, r, second_derivative_4th(f, h), alpha)
+    return row_residuals(n, alpha, r, f, z3)[0]
 
 
 def test_z3_eigenvalue_relation():
@@ -186,6 +187,18 @@ def test_ladder_action_on_eigenfunctions():
             if n + 1 < len(f):
                 resid = ladder_apply(+1, gf, alpha).values + (n + 1) * f[n + 1]
                 assert np.max(np.abs(resid[sl])) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ladder_apply_is_ladder_values_of_the_stencils(sign):
+    # the T+- formula is written once, in ladder_values
+    alpha, h = Fraction(3, 2), 2e-3
+    r = positive_grid(0.1, 20.0, h)
+    gf = GridFunction(r, eigenfunction_r(2, alpha, r), h)
+    want = gridops.ladder_values(sign, gf.values, r, derivative_4th(gf.values, h),
+                                 z3_apply(gf, alpha).values)
+    got = ladder_apply(sign, gf, alpha).values
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_ladder_sign_validation():

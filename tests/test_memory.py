@@ -90,18 +90,13 @@ def test_verify_grid_sweep_peak_per_point():
     assert peak <= SWEEP_BYTES_PER_POINT * grid_points(1e-3)
 
 
-def test_positive_grid_constant_bounds_the_ladder_diagnostic():
-    verify.diagnostics_ladder()
-    peak = traced_peak(verify.diagnostics_ladder)
-    assert peak <= gridops._POSITIVE_GRID_BYTES_PER_POINT * grid_points(verify.DIAGNOSTIC_H)
-
-
 def test_positive_grid_constant_bounds_a_whole_verify_run():
-    # the ladder diagnostic at h = 0.002 sets the peak (1.6 MiB); the exact
-    # residuals take no grid, and the stencil sweeps none finer than 0.002
+    # the stencil sweep at h = Z3_CONV_H = 0.002 sets the peak (1.36 MiB); the
+    # exact residuals and the ladder diagnostic take no grid, and no sweep is
+    # finer than 0.002
     verify.run_verification()
     peak = traced_peak(verify.run_verification)
-    assert peak <= gridops._POSITIVE_GRID_BYTES_PER_POINT * grid_points(verify.DIAGNOSTIC_H)
+    assert peak <= gridops._POSITIVE_GRID_BYTES_PER_POINT * grid_points(verify.Z3_CONV_H)
 
 
 # Measured 2.9 MB for JSON and 1.2 MB for CSV at both sizes.  Text built

@@ -58,6 +58,7 @@ from dunklkg import (
 )
 from dunklkg.eigenfunctions import radial_envelope, row_residuals
 from dunklkg.errors import DunklKGError
+from dunklkg.gridops import ladder_values, z3_values
 
 
 def z3_eigenvalue_residual(n, alpha, r_min, r_max, h):
@@ -65,7 +66,8 @@ def z3_eigenvalue_residual(n, alpha, r_min, r_max, h):
     stencil's F_n'': the Z3 counterpart of ``ode_residual``."""
     r = positive_grid(r_min, r_max, h)
     f = eigenfunction_r(n, alpha, r)
-    return row_residuals(n, alpha, r, f, second_derivative_4th(f, h))[0]
+    z3 = z3_values(f, r, second_derivative_4th(f, h), alpha)
+    return row_residuals(n, alpha, r, f, z3)[0]
 
 
 def sweep_max(residual, h):
@@ -77,8 +79,8 @@ def sweep_max(residual, h):
 
 
 def exact_rows(n, alpha, r):
-    """F_n and its exact F_n'' at the real points r, one n at a time: the
-    derivatives of L_n^(a)(ir) are L_{n-1}^(a+1) and L_{n-2}^(a+2) (DLMF
+    """F_n and its exact F_n' and F_n'' at the real points r, one n at a time:
+    the derivatives of L_n^(a)(ir) are L_{n-1}^(a+1) and L_{n-2}^(a+2) (DLMF
     18.9.23), each read out of its own ``laguerre_sequence`` table."""
     sig = sigma_index(alpha)
 
@@ -88,7 +90,8 @@ def exact_rows(n, alpha, r):
     g = radial_envelope(alpha, r + 0j)
     d1 = (sig + 0.5) / r - 0.5j  # g'/g
     d2 = d1 * d1 - (sig + 0.5) / (r * r)  # g''/g
-    return g * lag(n, 0), g * (d2 * lag(n, 0) - 2j * d1 * lag(n - 1, 1) - lag(n - 2, 2))
+    return (g * lag(n, 0), g * (d1 * lag(n, 0) - 1j * lag(n - 1, 1)),
+            g * (d2 * lag(n, 0) - 2j * d1 * lag(n - 1, 1) - lag(n - 2, 2)))
 
 
 def test_exact_second_derivative_is_the_stencils_limit():
@@ -99,7 +102,7 @@ def test_exact_second_derivative_is_the_stencils_limit():
         out = 0.0
         for alpha in verify.SWEEP_ALPHAS:
             for n in verify.SWEEP_N:
-                f, f2 = exact_rows(n, alpha, r)
+                f, _, f2 = exact_rows(n, alpha, r)
                 assert np.array_equal(f, eigenfunction_r(n, alpha, r))
                 out = max(out, np.max(np.abs(second_derivative_4th(f, h) - f2)) / np.max(np.abs(f2)))
         return out
@@ -110,15 +113,38 @@ def test_exact_second_derivative_is_the_stencils_limit():
 
 def test_residual_bounds_equal_the_per_n_maxima():
     r = np.linspace(verify.R_MIN, verify.R_MAX, verify.EXACT_SAMPLES)
-    per_n = [
-        row_residuals(n, alpha, r, *exact_rows(n, alpha, r))
-        for alpha in verify.SWEEP_ALPHAS
-        for n in verify.SWEEP_N
-    ]
+    per_n = []
+    for alpha in verify.SWEEP_ALPHAS:
+        for n in verify.SWEEP_N:
+            f, _, f2 = exact_rows(n, alpha, r)
+            per_n.append(row_residuals(n, alpha, r, f, z3_values(f, r, f2, alpha)))
     for check, field in ((verify.check_z3_eigenvalue, 0), (verify.check_ode_residual, 1)):
         record = check(verify.exact_sweep)
         assert record["samples"] == r.size
         assert record["measured"] == max(res[field] for res in per_n)
+
+
+def test_ladder_records_equal_the_per_n_maxima():
+    # T+ F_n = -(n+1) F_{n+1} for n = 0..4 and T- F_n = -(n+2k-1) F_{n-1} for
+    # n = 0..5, relative to sup |F_n|, each row from its own tables
+    r = np.linspace(verify.R_MIN, verify.R_MAX, verify.EXACT_SAMPLES)
+    plus, minus = [], []
+    for alpha in verify.SWEEP_ALPHAS:
+        k = bargmann_index(alpha)
+        rows = [exact_rows(n, alpha, r) for n in verify.SWEEP_N]
+        for n, (f, f1, f2) in enumerate(rows):
+            z3 = z3_values(f, r, f2, alpha)
+            scale = np.max(np.abs(f))
+            if n + 1 < len(rows):
+                up = ladder_values(+1, f, r, f1, z3) + (n + 1) * rows[n + 1][0]
+                plus.append(np.max(np.abs(up)) / scale)
+            down = ladder_values(-1, f, r, f1, z3)
+            if n:
+                down = down + (n + 2 * k - 1) * rows[n - 1][0]
+            minus.append(np.max(np.abs(down)) / scale)
+    assert len(plus) == 15 and len(minus) == 18
+    records = verify.diagnostics_ladder(verify.exact_sweep)
+    assert [rec["measured"] for rec in records] == [max(plus), max(minus)]
 
 
 def test_convergence_ratios_equal_the_per_n_ratios():
@@ -300,8 +326,8 @@ def test_su11_suites_report_one_record_per_relation(suite, names):
     assert report["checks"] == []
     assert [rec["name"] for rec in report["diagnostics"]] == names
     for rec in report["diagnostics"]:
-        assert set(rec) == {"name", "measured", "tolerance", "status", "h"}
-        assert rec["status"] == "measured" and rec["h"] == verify.DIAGNOSTIC_H
+        assert set(rec) == {"name", "measured", "tolerance", "status", "samples"}
+        assert rec["status"] == "measured" and rec["samples"] == 200
         assert isinstance(rec["measured"], float)
 
 
@@ -371,16 +397,16 @@ def test_blas_allow_list_names_only_blas_users():
 # --- records that do not depend on numpy's SIMD dispatch ---------------------------
 
 # Checks and diagnostics whose records are the same whichever SIMD kernels
-# numpy dispatches: 18 of the report's 23 records.  The other 5, the four
-# residual checks and the series agreement, still move in their last digits
-# without AVX2, through the complex products of the Laguerre recurrence and
-# the eigenfunction envelope.
+# numpy dispatches: 16 of the report's 23 records.  The other 7, the four
+# residual checks, the series agreement and the two exact ladder residuals,
+# still move in their last digits without AVX2, through the complex products
+# of the Laguerre recurrence and the eigenfunction envelope.
 DISPATCH_INVARIANT = (
     "casimir_identity", "sigma_identity", "table1_reproduction", "table2_reproduction",
     "self_consistency", "xi_zero_reduction", "tau_zero_reduction", "tau_periodicity",
     "laguerre_recurrence", "gamma_recurrence", "gamma_reflection", "sqrt_square_roundtrip",
-    "pow_identities", "ladder_action_plus", "ladder_action_minus",
-    "density_peak_vs_n", "density_peak_vs_alpha", "self_consistency_strict_principal_max",
+    "pow_identities", "density_peak_vs_n", "density_peak_vs_alpha",
+    "self_consistency_strict_principal_max",
 )
 
 
